@@ -7,7 +7,7 @@ previous run, ratio vs the first recorded run, gate verdict) so a
 regression shows up as a trend, not a single noisy sample.
 
     python scripts/bench_trend.py                # all gates
-    python scripts/bench_trend.py --metric np    # filter by metric text
+    python scripts/bench_trend.py --metric reference  # filter by label text
     python scripts/bench_trend.py --json         # machine-readable
 
 Stdlib only (plus the repo's own table renderer).  A missing or empty

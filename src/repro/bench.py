@@ -2,11 +2,10 @@
 
 This is the engine behind ``repro bench`` and the importable half of
 ``benchmarks/bench_core_operations.py``: it records a fixed workload
-trace, replays it through each available state backend (``object``,
-``packed``, and — when numpy is installed — ``packed-np``), and writes
-the machine-readable evidence file ``BENCH_core.json`` (each write also
-appends a timestamped line to ``BENCH_history.jsonl`` so regressions
-can be traced across runs).
+trace, replays it through both state backends (``object`` and
+``packed``), and writes the machine-readable evidence file
+``BENCH_core.json`` (each write also appends a timestamped line to
+``BENCH_history.jsonl`` so regressions can be traced across runs).
 
 Measurement methodology
 -----------------------
@@ -40,7 +39,6 @@ from .trace.batch import encode_batch
 __all__ = [
     "BATCH_CONFIGS",
     "PACKED_SPEEDUP_TARGET",
-    "PACKED_NP_SPEEDUP_TARGET",
     "recorded_trace",
     "marked_trace",
     "backend_comparison",
@@ -52,14 +50,21 @@ __all__ = [
 ]
 
 #: the packed backend must beat the object backend's *batched* replay by
-#: this factor on the layout-bound (fasttrack) config.
-PACKED_SPEEDUP_TARGET = 1.5
+#: this factor on the layout-bound (fasttrack) config.  Object batched
+#: replay is the generic per-event loop over the scalar handlers (the
+#: pseudocode reference), so the gate measures the packed kernel against
+#: the reference implementation.  Set about 20% below the lowest of 12
+#: interleaved rounds measured on a 2-vCPU x86-64 Xeon VM under
+#: CPython 3.11 (lowest 4.42x, median 4.77x), leaving room for
+#: run-to-run noise.
+PACKED_SPEEDUP_TARGET = 3.5
 
-#: target for the vectorized packed-np backend on the same metric (the
-#: column-kernel design goal).  The measured interleaved ratio is
-#: recorded in BENCH_core.json either way; CI gates on direction only
-#: (shared boxes are too noisy for a sharp ratio assert).
-PACKED_NP_SPEEDUP_TARGET = 5.0
+#: the gate's metric label.  ``scripts/bench_trend.py`` keys series on the
+#: "X vs Y backend" pair, so the baseline carries its own name: ratios
+#: against the object reference handlers must not share a series with
+#: ratios against a different object baseline.
+PACKED_GATE_METRIC = ("batched replay throughput, packed vs object-reference "
+                      "backend (interleaved median ratio)")
 
 #: workload the backend rows and the speedup gate replay
 BENCH_WORKLOAD = "pseudojbb"
@@ -131,9 +136,9 @@ def backend_comparison(size=0.7, repeats=3):
     """Per (config, backend): throughput and end-of-replay footprint.
 
     Returns ``[(label, backend, n_events, scalar ev/s, batched ev/s,
-    footprint words), ...]`` over every backend available on this
-    interpreter.  Footprints are trace-determined, so equal footprints
-    across backends double as a space-parity check.
+    footprint words), ...]`` over every backend.  Footprints are
+    trace-determined, so equal footprints across backends double as a
+    space-parity check.
     """
     rows = []
     for label, factory, build in BATCH_CONFIGS:
@@ -172,8 +177,6 @@ def interleaved_speedup(contender: str, baseline: str = "object",
     label, factory, build = next(c for c in BATCH_CONFIGS if c[0] == config)
     events = build(size)
     encoded = encode_batch(events)
-    if contender == "packed-np" or baseline == "packed-np":
-        encoded.to_numpy_columns()  # cache columns outside the timed runs
 
     def run(backend):
         det = factory(backend=backend)
@@ -246,36 +249,17 @@ def emit_json(path, size=0.7, repeats=3, gate_size=1.0, gate_rounds=5) -> int:
     rows = backend_comparison(size=size, repeats=repeats)
     print("\nState backends: batched replay throughput + footprint")
     print_backend_rows(rows)
-    packed_speedup, _ = interleaved_speedup(
+    packed_speedup, n_events = interleaved_speedup(
         "packed", size=gate_size, rounds=gate_rounds)
     gates = [{
         "config": "fasttrack",
-        "metric": "batched replay throughput, packed vs object backend "
-                  "(interleaved median ratio)",
+        "metric": PACKED_GATE_METRIC,
+        "events": n_events,
         "speedup": round(packed_speedup, 3),
         "target": PACKED_SPEEDUP_TARGET,
     }]
-    print(f"packed vs object batched replay (fasttrack): "
+    print(f"packed vs object-reference batched replay (fasttrack): "
           f"{packed_speedup:.2f}x (target {PACKED_SPEEDUP_TARGET}x)")
-    if "packed-np" in BACKENDS:
-        np_speedup, n_events = interleaved_speedup(
-            "packed-np", size=gate_size, rounds=gate_rounds)
-        gates.append({
-            "config": "fasttrack",
-            "metric": "batched replay throughput, packed-np vs object "
-                      "backend (interleaved median ratio)",
-            "events": n_events,
-            "speedup": round(np_speedup, 3),
-            "target": PACKED_NP_SPEEDUP_TARGET,
-        })
-        print(f"packed-np vs object batched replay (fasttrack): "
-              f"{np_speedup:.2f}x (target {PACKED_NP_SPEEDUP_TARGET}x)")
-        if np_speedup < PACKED_NP_SPEEDUP_TARGET:
-            print(f"WARNING: below the {PACKED_NP_SPEEDUP_TARGET}x target "
-                  f"on this box")
-    else:
-        print("packed-np backend unavailable (numpy not installed); "
-              "skipping its gate")
     doc = {
         "bench": "core_operations",
         "workload": BENCH_WORKLOAD,

@@ -29,7 +29,6 @@ from .clocks import Epoch, ReadMap, unpack_epoch
 from .metadata import VarState
 
 __all__ = [
-    "ALL_BACKENDS",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "READ_SHARED",
@@ -37,18 +36,8 @@ __all__ = [
     "resolve_backend",
 ]
 
-try:  # NumPy is an optional extra (``repro[np]``)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the gating tests
-    _np = None
-
-#: Every backend name this codebase knows about, available or not.
-ALL_BACKENDS = ("object", "packed", "packed-np")
-
-#: Recognized backend names *on this interpreter*: ``packed-np`` (NumPy
-#: int64 arenas + vectorized column kernels) appears only when numpy is
-#: importable, so callers enumerating choices degrade gracefully.
-BACKENDS = ALL_BACKENDS if _np is not None else ALL_BACKENDS[:2]
+#: Recognized backend names.
+BACKENDS = ("object", "packed")
 
 #: Backend used when neither the caller nor the environment picks one.
 DEFAULT_BACKEND = "packed"
@@ -64,12 +53,6 @@ def resolve_backend(name: Optional[str] = None) -> str:
     if name is None:
         name = os.environ.get("REPRO_STATE_BACKEND") or DEFAULT_BACKEND
     if name not in BACKENDS:
-        if name in ALL_BACKENDS:
-            raise ValueError(
-                f"state backend {name!r} requires numpy, which is not "
-                f"installed (install the [np] extra); "
-                f"available backends: {BACKENDS}"
-            )
         raise ValueError(f"unknown state backend {name!r}; choose from {BACKENDS}")
     return name
 

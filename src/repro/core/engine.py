@@ -1,11 +1,15 @@
 """Packed-state analysis kernels shared by scalar and batched dispatch.
 
-The object backend keeps two transcriptions of Algorithms 7/8 and 12/13:
-the scalar typed handlers (the semantic reference) and the inlined batch
-loops from the dispatch layer.  The packed backend folds them: one kernel
-per detector family drives both paths — the scalar handlers call it with
-a singleton event, the batch path with whole columns — so there is a
-single transcription of each algorithm over the packed representation.
+Each algorithm has two transcriptions: the object backend's scalar
+typed handlers (the literal pseudocode, and the semantic reference) and
+one packed transcription here.  The packed kernels drive both dispatch
+paths — the scalar handlers call them with a singleton event, the batch
+path with whole columns:
+
+* FASTTRACK (Algorithms 7/8): :func:`fasttrack_kernel`;
+* PACER (Algorithms 12/13): :func:`pacer_access_packed`, which the
+  run-bulking loop :func:`pacer_kernel` calls for every access it cannot
+  retire in bulk.
 
 Everything here works on :class:`~repro.core.backend.PackedVarStore`
 arrays: epochs are packed ints (:func:`~repro.core.clocks.pack_epoch`),
@@ -25,114 +29,10 @@ from .backend import READ_SHARED
 from .clocks import TID_BITS, TID_MASK, VectorClock
 
 __all__ = [
-    "fasttrack_access_packed",
     "fasttrack_kernel",
     "pacer_access_packed",
     "pacer_kernel",
 ]
-
-
-def fasttrack_access_packed(det, k, tid, var, site, index):
-    """One FASTTRACK access (Algorithm 7 if ``k == 0``, else 8) over a
-    packed arena — the exact scalar slow path behind the vectorized
-    ``packed-np`` column kernels and the packed-np scalar dispatch.
-
-    Works against any store with the packed-arena surface
-    (:class:`~repro.core.backend.PackedVarStore` or the NumPy variant).
-    Array scalars read from NumPy arenas are cast back to plain ints
-    before they can reach :class:`Race` records or inflated read maps,
-    so reports and state stay byte-identical with the list-based arena.
-    """
-    arena = det._arena
-    counters = det.counters
-    thread_clock = det._thread_clock
-    clock = thread_clock.get(tid)
-    if clock is None:
-        clock = VectorClock()
-        clock.increment(tid)
-        thread_clock[tid] = clock
-        counters.words_allocated += 2
-    c = clock._c
-    own = c[tid] if tid < len(c) else 0
-    packed_own = (own << TID_BITS) | tid
-    slot = arena.index.get(var)
-    if slot is None:
-        slot = arena.alloc(var)
-        counters.words_allocated += 2
-    wep, rep = arena.wep, arena.rep
-    rshared = arena.rshared
-    races_append = det.races.append
-    w = int(wep[slot])
-    if k == 0:  # rd (Algorithm 7)
-        counters.reads_slow_sampling += 1
-        r = int(rep[slot])
-        if r == packed_own:
-            return  # same read epoch: no action
-        if w:
-            wt = w & TID_MASK
-            wc = w >> TID_BITS
-            if wc > (c[wt] if wt < len(c) else 0):
-                races_append(
-                    Race(var, WRITE_READ, wt, wc, arena.wsite[slot],
-                         tid, site, index, int(arena.windex[slot]))
-                )
-        if r == 0:
-            rep[slot] = packed_own
-            arena.rsite[slot] = site
-            arena.rindex[slot] = index
-            counters.words_allocated += 2
-        elif r != READ_SHARED:
-            rt = r & TID_MASK
-            if (r >> TID_BITS) <= (c[rt] if rt < len(c) else 0):
-                rep[slot] = packed_own  # overwrite read epoch
-                arena.rsite[slot] = site
-                arena.rindex[slot] = index
-            else:
-                rshared[slot] = {
-                    rt: (r >> TID_BITS, arena.rsite[slot],
-                         int(arena.rindex[slot])),
-                    tid: (own, site, index),
-                }
-                rep[slot] = READ_SHARED
-                counters.words_allocated += 2
-        else:
-            rshared[slot][tid] = (own, site, index)
-            counters.words_allocated += 2
-    else:  # wr (Algorithm 8)
-        counters.writes_slow_sampling += 1
-        if w == packed_own:
-            return  # same write epoch: no action
-        if w:
-            wt = w & TID_MASK
-            wc = w >> TID_BITS
-            if wc > (c[wt] if wt < len(c) else 0):
-                races_append(
-                    Race(var, WRITE_WRITE, wt, wc, arena.wsite[slot],
-                         tid, site, index, int(arena.windex[slot]))
-                )
-        r = int(rep[slot])
-        if r:
-            if r != READ_SHARED:
-                rt = r & TID_MASK
-                rc = r >> TID_BITS
-                if rc > (c[rt] if rt < len(c) else 0):
-                    races_append(
-                        Race(var, READ_WRITE, rt, rc, arena.rsite[slot],
-                             tid, site, index, int(arena.rindex[slot]))
-                    )
-            else:
-                for u, (rc, rs, ri) in rshared[slot].items():
-                    if rc > (c[u] if u < len(c) else 0):
-                        races_append(
-                            Race(var, READ_WRITE, u, rc, rs,
-                                 tid, site, index, ri)
-                        )
-                del rshared[slot]
-            rep[slot] = 0  # modified FASTTRACK: clear read map
-        wep[slot] = packed_own
-        arena.wsite[slot] = site
-        arena.windex[slot] = index
-        counters.words_allocated += 2
 
 
 def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
@@ -440,10 +340,13 @@ def pacer_access_packed(det, k, tid, var, site, index):
 def pacer_kernel(det, kinds, tids, targets, sites, seen0):
     """PACER's run-bulked batch loop over the packed arena.
 
-    Same run-splitting scaffold as the object batch loop — byte-mask run
-    scans, bulk retirement of non-sampling runs disjoint from tracked
-    variables — but every per-event access, sampling or not, goes through
-    the one transcription in :func:`pacer_access_packed`.
+    Maximal access runs are found with byte-mask scans over the kind
+    column; a non-sampling run disjoint from tracked variables is retired
+    in bulk, and every other access, sampling or not, goes through the
+    one transcription in :func:`pacer_access_packed`.  No metadata can
+    appear during a bulk run (nothing allocates outside sampling without
+    an existing entry), so the run-entry probe stays valid for the whole
+    run.
     """
     n = len(kinds)
     kind_bytes = bytes(kinds)

@@ -27,11 +27,11 @@ exist for the ablation benchmarks and default to the paper's behaviour.
 
 from __future__ import annotations
 
-from itertools import chain, compress as _compress
+from itertools import chain
 from typing import Dict, Optional
 
-from ..detectors.base import Detector, Race, READ_WRITE, WRITE_READ, WRITE_WRITE
-from ..trace.batch import ACCESS01_TABLE, EventBatch, RUN_MASK_TABLE
+from ..detectors.base import Detector, READ_WRITE, WRITE_READ, WRITE_WRITE
+from ..trace.batch import EventBatch
 from .backend import PackedVarStore
 from .clocks import Epoch, ReadMap, TID_BITS, TID_MASK, epoch_leq_vc
 from .engine import pacer_access_packed, pacer_kernel
@@ -39,12 +39,6 @@ from .metadata import SyncMeta, ThreadMeta, VarState, footprint_words
 from .versioning import VE_BOTTOM, VE_TOP, SharableClock
 
 __all__ = ["PacerDetector"]
-
-
-#: the run-scan translation tables live with the columnar encoding now;
-#: the old private names remain as aliases for external readers
-_RUN_MASK_TABLE = RUN_MASK_TABLE
-_ACCESS01_TABLE = ACCESS01_TABLE
 
 
 class PacerDetector(Detector):
@@ -70,20 +64,12 @@ class PacerDetector(Detector):
         self._thread: Dict[int, ThreadMeta] = {}
         self._lock: Dict[int, SyncMeta] = {}
         self._vol: Dict[int, SyncMeta] = {}
-        if self.backend_name == "packed-np":
-            from .backend_np import NumpyVarStore, pacer_kernel_np
-
-            self._arena = NumpyVarStore()
-            self._vars: Optional[Dict[int, VarState]] = None
-            self._np_kernel = pacer_kernel_np
-        elif self.backend_name == "packed":
+        if self.backend_name == "packed":
             self._arena: Optional[PackedVarStore] = PackedVarStore()
-            self._vars = None
-            self._np_kernel = None
+            self._vars: Optional[Dict[int, VarState]] = None
         else:
             self._arena = None
             self._vars = {}
-            self._np_kernel = None
 
     # -- metadata helpers ---------------------------------------------------
 
@@ -308,208 +294,23 @@ class PacerDetector(Detector):
 
         The paper's whole premise is that at low sampling rates nearly
         every access hits the inlined "no metadata, not sampling" check
-        (Algorithms 12/13, first line).  This loop takes that to its
-        columnar conclusion: maximal runs of consecutive access events
-        are located with a byte-mask scan, and a run that is outside a
-        sampling period and touches no variable with live metadata is
-        retired *in bulk* — counter arithmetic and a thread-set update,
-        with no per-event Python work at all.  Runs that overlap live
-        metadata or a sampling period fall back to a per-event loop over
-        the scalar typed handlers, as do synchronization actions and
-        period boundaries.  No metadata can appear during a bulk run
-        (nothing allocates outside sampling without an existing entry),
-        so the run-entry probe stays valid for the whole run.
+        (Algorithms 12/13, first line).  On the packed backend
+        :func:`~repro.core.engine.pacer_kernel` takes that to its
+        columnar conclusion, retiring whole non-sampling access runs that
+        touch no tracked variable in bulk.  The object backend, and
+        subclasses that hook the method events, take the generic batch
+        loop over the scalar handlers.
         """
         cls = type(self)
         if (
-            cls.method_enter is not Detector.method_enter
+            self._arena is None
+            or cls.method_enter is not Detector.method_enter
             or cls.method_exit is not Detector.method_exit
         ):
-            # a subclass hooked the method events; take the generic path
             super().apply_batch(batch)
             return
-        if self._arena is not None:
-            if self._np_kernel is not None:
-                kinds, tids, targets, sites_np, site_list = (
-                    batch.to_numpy_columns()
-                )
-                self._np_kernel(
-                    self, kinds, tids, targets, sites_np, site_list,
-                    self._events_seen,
-                )
-                return
-            # packed backend: same run-bulking, one folded access kernel
-            kinds, tids, targets, sites = batch.to_list_columns()
-            pacer_kernel(
-                self, kinds, tids, targets, sites, self._events_seen,
-            )
-            return
         kinds, tids, targets, sites = batch.to_list_columns()
-        n = len(kinds)
-        kind_bytes = bytes(kinds)
-        mask = kind_bytes.translate(_RUN_MASK_TABLE)
-        access01 = kind_bytes.translate(_ACCESS01_TABLE)
-        find_break = mask.find
-        count_kind = mask.count  # runs: byte 0 = read, 1 = write, 3 = no-op
-        vars_map = self._vars
-        tracked_disjoint = vars_map.keys().isdisjoint
-        thread_map = self._thread
-        counters = self.counters
-        threads = self._threads
-        threads_add = threads.add
-        races_append = self.races.append
-        discard_md = self.discard_metadata
-        read = self.read
-        write = self.write
-        seen0 = self._events_seen
-        sampling = self.sampling
-        reads_fast = 0
-        writes_fast = 0
-        reads_slow = 0
-        writes_slow = 0
-        compress = _compress
-        # Note every access event's thread up front in one C pass: set
-        # adds are idempotent and nothing observes ``_threads`` mid-batch,
-        # so this matches the scalar path's per-event notes exactly.
-        threads.update(compress(tids, access01))
-        i = 0
-        while i < n:
-            k = kinds[i]
-            if k <= 1 or k >= 10:  # a run starts here; find where it ends
-                j = find_break(2, i)
-                if j < 0:
-                    j = n
-                w = count_kind(1, i, j)
-                r = count_kind(0, i, j)
-                pure = w + r == j - i  # no riding no-op events in the run
-                if not sampling and (
-                    not vars_map
-                    or tracked_disjoint(
-                        targets[i:j]
-                        if pure
-                        else compress(targets[i:j], access01[i:j])
-                    )
-                ):
-                    # Algorithm 12/13 fast path, retired in bulk
-                    writes_fast += w
-                    reads_fast += r
-                    i = j
-                    continue
-                if sampling:
-                    # Sampling period: exactly FASTTRACK; the scalar
-                    # handlers do the full Algorithm 7/8 analysis.
-                    for idx in range(i, j):
-                        k2 = kinds[idx]
-                        if k2 > 1:
-                            continue  # m_enter / m_exit / alloc: no-ops
-                        self._events_seen = seen0 + idx + 1
-                        if k2 == 0:
-                            read(tids[idx], targets[idx], sites[idx])
-                        else:
-                            write(tids[idx], targets[idx], sites[idx])
-                    i = j
-                    continue
-                # Non-sampling run over live metadata: Algorithms 12/13
-                # inlined — race checks against frozen clocks, then the
-                # Table 4 discard rules.
-                for idx in range(i, j):
-                    k2 = kinds[idx]
-                    if k2 > 1:
-                        continue  # m_enter / m_exit / alloc: no-ops
-                    target = targets[idx]
-                    state = vars_map.get(target)
-                    if state is None:
-                        if k2 == 0:
-                            reads_fast += 1
-                        else:
-                            writes_fast += 1
-                        continue
-                    tid = tids[idx]
-                    site = sites[idx]
-                    tmeta = thread_map.get(tid)
-                    if tmeta is None:
-                        tmeta = self._thread_meta(tid)
-                    c = tmeta.clock._c
-                    own = c[tid] if tid < len(c) else 0
-                    w = state.write
-                    r = state.read
-                    if k2 == 0:  # rd (Algorithm 12, non-sampling branch)
-                        reads_slow += 1
-                        if w is not None and w[0] != 0:
-                            wt = w[1]
-                            if w[0] > (c[wt] if wt < len(c) else 0):
-                                races_append(
-                                    Race(target, WRITE_READ, wt, w[0],
-                                         state.write_site, tid, site,
-                                         seen0 + idx, state.write_index)
-                                )
-                        if r is not None:
-                            if r._map is None:
-                                # Table 4 Rule 2: discard a read epoch
-                                # FASTTRACK would have overwritten.
-                                if (r._clock != own or r._tid != tid) and (
-                                    r._clock
-                                    <= (c[r._tid] if r._tid < len(c) else 0)
-                                ):
-                                    state.read = None
-                            elif r.discard(tid):  # Rule 3: drop t's entry
-                                state.read = None
-                        if discard_md and state.write is None and state.read is None:
-                            del vars_map[target]
-                    else:  # wr (Algorithm 13, non-sampling branch)
-                        writes_slow += 1
-                        if w is not None and w[0] != 0:
-                            wt = w[1]
-                            if w[0] > (c[wt] if wt < len(c) else 0):
-                                races_append(
-                                    Race(target, WRITE_WRITE, wt, w[0],
-                                         state.write_site, tid, site,
-                                         seen0 + idx, state.write_index)
-                                )
-                        if r is not None:
-                            for u, rc, rs, ri in r.racing_entries(tmeta.clock):
-                                races_append(
-                                    Race(target, READ_WRITE, u, rc, rs,
-                                         tid, site, seen0 + idx, ri)
-                                )
-                        if w is not None and w[0] == own and w[1] == tid:
-                            continue  # same epoch: keep sampled metadata
-                        state.write = None  # discard write epoch and reads
-                        state.read = None
-                        if discard_md:
-                            del vars_map[target]
-                i = j
-                continue
-            self._events_seen = seen0 + i + 1
-            if k == 8:  # period boundaries carry no acting thread
-                self.begin_sampling()
-                sampling = self.sampling
-            elif k == 9:
-                self.end_sampling()
-                sampling = self.sampling
-            else:  # synchronization actions (2 <= k <= 7)
-                tid = tids[i]
-                target = targets[i]
-                threads_add(tid)
-                if k == 2:
-                    self.acquire(tid, target)
-                elif k == 3:
-                    self.release(tid, target)
-                elif k == 4:
-                    threads_add(target)
-                    self.fork(tid, target)
-                elif k == 5:
-                    self.join(tid, target)
-                elif k == 6:
-                    self.vol_read(tid, target)
-                else:  # k == 7
-                    self.vol_write(tid, target)
-            i += 1
-        self._events_seen = seen0 + n
-        counters.reads_fast_nonsampling += reads_fast
-        counters.writes_fast_nonsampling += writes_fast
-        counters.reads_slow_nonsampling += reads_slow
-        counters.writes_slow_nonsampling += writes_slow
+        pacer_kernel(self, kinds, tids, targets, sites, self._events_seen)
 
     # -- reads and writes (Algorithms 12 and 13, Table 4) ---------------------------
 

@@ -174,9 +174,9 @@ class Detector:
 
         Behavior-identical to :meth:`run` — same races, counters, and
         metadata — but events flow as columnar :class:`EventBatch` chunks
-        through :meth:`apply_batch`, which hot detectors override with an
-        inlined loop.  ``events`` may be any event iterable or an already
-        encoded :class:`EventBatch`.
+        through :meth:`apply_batch`, which FASTTRACK and PACER route to the
+        packed engine kernels.  ``events`` may be any event iterable or an
+        already encoded :class:`EventBatch`.
         """
         obs = self.observer
         if obs is not None and getattr(obs, "recorder", None) is not None:
@@ -251,7 +251,8 @@ class Detector:
 
         The base implementation decodes each record and dispatches it
         exactly like :meth:`apply` (so every detector supports batches);
-        FASTTRACK and PACER override it with inlined hot loops.
+        FASTTRACK and PACER override it to hand packed-backend batches to
+        :mod:`repro.core.engine` whole.
         """
         dispatch = self._dispatch_by_id
         id_to_kind = ID_TO_KIND

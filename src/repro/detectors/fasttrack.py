@@ -18,10 +18,10 @@ from typing import Dict, Optional
 
 from ..core.backend import PackedVarStore
 from ..core.clocks import Epoch, ReadMap, VectorClock, epoch_leq_vc
-from ..core.engine import fasttrack_access_packed, fasttrack_kernel
+from ..core.engine import fasttrack_kernel
 from ..core.metadata import VarState, footprint_words
 from ..trace.batch import EventBatch
-from .base import Detector, Race, READ_WRITE, WRITE_READ, WRITE_WRITE
+from .base import Detector, READ_WRITE, WRITE_READ, WRITE_WRITE
 
 __all__ = ["FastTrackDetector"]
 
@@ -47,21 +47,12 @@ class FastTrackDetector(Detector):
         self._thread_clock: Dict[int, VectorClock] = {}
         self._lock_clock: Dict[int, VectorClock] = {}
         self._vol_clock: Dict[int, VectorClock] = {}
-        if self.backend_name == "packed-np":
-            from ..core.backend_np import NumpyVarStore, fasttrack_kernel_np
-
-            self._arena = NumpyVarStore()
-            self._vars: Optional[Dict[int, VarState]] = None
-            self._np_kernel = fasttrack_kernel_np
-            self._np_reforked: set = set()
-        elif self.backend_name == "packed":
+        if self.backend_name == "packed":
             self._arena: Optional[PackedVarStore] = PackedVarStore()
-            self._vars = None
-            self._np_kernel = None
+            self._vars: Optional[Dict[int, VarState]] = None
         else:
             self._arena = None
             self._vars = {}
-            self._np_kernel = None
 
     # -- metadata helpers -------------------------------------------------
 
@@ -109,14 +100,6 @@ class FastTrackDetector(Detector):
 
     def read(self, tid: int, var: int, site: int = 0) -> None:
         if self._arena is not None:
-            if self._np_kernel is not None:
-                # NumPy arena: the scalar transcription casts array
-                # scalars to plain ints so races/read maps stay clean
-                self._threads.add(tid)
-                fasttrack_access_packed(
-                    self, 0, tid, var, site, self._events_seen - 1
-                )
-                return
             fasttrack_kernel(
                 self, _RD, (tid,), (var,), (site,), self._events_seen - 1
             )
@@ -140,12 +123,6 @@ class FastTrackDetector(Detector):
 
     def write(self, tid: int, var: int, site: int = 0) -> None:
         if self._arena is not None:
-            if self._np_kernel is not None:
-                self._threads.add(tid)
-                fasttrack_access_packed(
-                    self, 1, tid, var, site, self._events_seen - 1
-                )
-                return
             fasttrack_kernel(
                 self, _WR, (tid,), (var,), (site,), self._events_seen - 1
             )
@@ -167,170 +144,25 @@ class FastTrackDetector(Detector):
     # -- batched fast path ---------------------------------------------------
 
     def apply_batch(self, batch: EventBatch) -> None:
-        """Inlined batch loop for the access-dominated hot path.
+        """Batched Algorithms 7/8: the packed backend hands whole columns
+        to :func:`~repro.core.engine.fasttrack_kernel`.
 
-        Reads and writes (Algorithms 7/8) are transcribed inline against
-        the raw batch columns — no per-event dispatch, trampoline, or
-        :class:`Event` construction, and clock components are probed
-        directly.  Synchronization and auxiliary events call the typed
-        handlers directly.  Subclasses that hook accesses or method
-        events (LiteRace) are routed to the generic batch loop so their
-        overrides stay in charge.  The differential suite pins this loop
-        to the scalar semantics operation for operation.
+        The object backend, and subclasses that hook accesses or method
+        events (LiteRace), take the generic batch loop so the scalar
+        handlers stay in charge.
         """
         cls = type(self)
         if (
-            cls.read is not FastTrackDetector.read
+            self._arena is None
+            or cls.read is not FastTrackDetector.read
             or cls.write is not FastTrackDetector.write
             or cls.method_enter is not Detector.method_enter
             or cls.method_exit is not Detector.method_exit
         ):
             super().apply_batch(batch)
             return
-        if self._arena is not None:
-            if self._np_kernel is not None:
-                kinds, tids, targets, sites_np, site_list = (
-                    batch.to_numpy_columns()
-                )
-                self._np_kernel(
-                    self, kinds, tids, targets, sites_np, site_list,
-                    self._events_seen,
-                )
-                return
-            kinds, tids, targets, sites = batch.to_list_columns()
-            fasttrack_kernel(
-                self, kinds, tids, targets, sites, self._events_seen,
-            )
-            return
-        batch.to_list_columns()
-        thread_clock = self._thread_clock
-        vars_map = self._vars
-        counters = self.counters
-        threads_add = self._threads.add
-        races_append = self.races.append
-        seen = self._events_seen
-        reads = 0
-        writes = 0
-        words = 0
-        last_tid = None
-        for k, tid, target, site in zip(
-            batch.kinds, batch.tids, batch.targets, batch.sites
-        ):
-            seen += 1
-            if k == 0:  # rd (Algorithm 7)
-                if tid != last_tid:
-                    threads_add(tid)
-                    last_tid = tid
-                reads += 1
-                clock = thread_clock.get(tid)
-                if clock is None:
-                    clock = VectorClock()
-                    clock.increment(tid)
-                    thread_clock[tid] = clock
-                    words += 2
-                state = vars_map.get(target)
-                if state is None:
-                    state = VarState()
-                    vars_map[target] = state
-                    words += 2
-                c = clock._c
-                own = c[tid] if tid < len(c) else 0
-                r = state.read
-                if (
-                    r is not None
-                    and r._map is None
-                    and r._clock == own
-                    and r._tid == tid
-                ):
-                    continue  # same read epoch: no action
-                w = state.write
-                if w is not None and w[0] != 0:
-                    wt = w[1]
-                    if w[0] > (c[wt] if wt < len(c) else 0):
-                        races_append(
-                            Race(target, WRITE_READ, wt, w[0], state.write_site,
-                                 tid, site, seen - 1, state.write_index)
-                        )
-                if r is None:
-                    state.read = ReadMap(tid, own, site, seen - 1)
-                    words += 2
-                elif r._map is None and r._clock <= (
-                    c[r._tid] if r._tid < len(c) else 0
-                ):
-                    r.set_epoch(tid, own, site, seen - 1)  # overwrite read map
-                else:
-                    r.record(tid, own, site, seen - 1)  # update/inflate map
-                    words += 2
-            elif k == 1:  # wr (Algorithm 8)
-                if tid != last_tid:
-                    threads_add(tid)
-                    last_tid = tid
-                writes += 1
-                clock = thread_clock.get(tid)
-                if clock is None:
-                    clock = VectorClock()
-                    clock.increment(tid)
-                    thread_clock[tid] = clock
-                    words += 2
-                state = vars_map.get(target)
-                if state is None:
-                    state = VarState()
-                    vars_map[target] = state
-                    words += 2
-                c = clock._c
-                own = c[tid] if tid < len(c) else 0
-                w = state.write
-                if w is not None and w[0] == own and w[1] == tid:
-                    continue  # same write epoch: no action
-                if w is not None and w[0] != 0:
-                    wt = w[1]
-                    if w[0] > (c[wt] if wt < len(c) else 0):
-                        races_append(
-                            Race(target, WRITE_WRITE, wt, w[0], state.write_site,
-                                 tid, site, seen - 1, state.write_index)
-                        )
-                r = state.read
-                if r is not None:
-                    for u, rc, rs, ri in r.racing_entries(clock):
-                        races_append(
-                            Race(target, READ_WRITE, u, rc, rs,
-                                 tid, site, seen - 1, ri)
-                        )
-                state.read = None  # modified FASTTRACK: clear read map
-                state.write = Epoch(own, tid)
-                state.write_site = site
-                state.write_index = seen - 1
-                words += 2
-            elif k >= 10:  # m_enter / m_exit / alloc: no-ops here
-                continue
-            elif k == 8:  # period boundaries carry no acting thread
-                self._events_seen = seen
-                self.begin_sampling()
-            elif k == 9:
-                self._events_seen = seen
-                self.end_sampling()
-            else:  # synchronization actions
-                self._events_seen = seen
-                if tid != last_tid:
-                    threads_add(tid)
-                    last_tid = tid
-                if k == 2:
-                    self.acquire(tid, target)
-                elif k == 3:
-                    self.release(tid, target)
-                elif k == 4:
-                    threads_add(target)
-                    self.fork(tid, target)
-                elif k == 5:
-                    self.join(tid, target)
-                elif k == 6:
-                    self.vol_read(tid, target)
-                else:  # k == 7
-                    self.vol_write(tid, target)
-        self._events_seen = seen
-        counters.reads_slow_sampling += reads
-        counters.writes_slow_sampling += writes
-        counters.words_allocated += words
+        kinds, tids, targets, sites = batch.to_list_columns()
+        fasttrack_kernel(self, kinds, tids, targets, sites, self._events_seen)
 
     # -- synchronization (same as GENERIC) ----------------------------------------
 

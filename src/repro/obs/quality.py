@@ -26,7 +26,7 @@ versioned artifact, the ``repro/coverage-report/v1`` document:
 Determinism contract: a coverage document is a pure function of the
 detector's counters, sampling marks, and race list.  Unlike
 ``repro/race-report/v1`` it carries **no backend label at all**, so
-documents are byte-identical across the object/packed/packed-np state
+documents are byte-identical across the object and packed state
 backends, scalar vs batched dispatch, ``--jobs`` values, and
 streamed-vs-offline runs (pinned by ``tests/test_quality.py``).
 

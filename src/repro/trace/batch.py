@@ -108,9 +108,9 @@ class EventBatch:
         """Wrap already-columnar data without copying.
 
         Unlike ``__init__``, the columns are stored as given — NumPy
-        arrays from the zero-copy binio reader flow straight through to
-        the vectorized kernels, while :meth:`to_list_columns` normalizes
-        them on demand for plain-int consumers.
+        arrays from the zero-copy binio reader are not copied here, and
+        :meth:`to_list_columns` normalizes them on demand for the
+        plain-int kernels.
         """
         if not (len(kinds) == len(tids) == len(targets) == len(sites)):
             raise ValueError("batch columns must have equal length")
@@ -143,7 +143,7 @@ class EventBatch:
         return self.kinds, self.tids, self.targets, self.sites
 
     def to_numpy_columns(self):
-        """Columns as arrays for the vectorized kernels (cached).
+        """Columns as NumPy arrays, for array-based consumers (cached).
 
         Returns ``(kinds, tids, targets, sites, site_list)`` where the
         first four are ``uint8``/``int64`` NumPy arrays — except
@@ -151,7 +151,7 @@ class EventBatch:
         non-integer :data:`~repro.detectors.base.SiteId` values (the
         live frontend's ``file:line`` strings); ``site_list`` is the
         original Python sequence in that case (and ``None`` otherwise),
-        so kernels always have exactly one site source.
+        so consumers always have exactly one site source.
         """
         cols = self._npcols
         if cols is None:

@@ -207,11 +207,12 @@ def loads_binary(data: bytes, validate: bool = True) -> Trace:
 #
 # ``loads_binary_columns`` decodes the same wire format straight into an
 # :class:`~repro.trace.batch.EventBatch` whose columns are NumPy arrays,
-# skipping per-event ``Event`` construction entirely — the feed for the
-# vectorized ``packed-np`` kernels.  The decode is vectorized (one pass
-# of array ops over the whole payload, no per-varint Python), and
-# ``load_trace_columns`` maps the file with ``mmap`` so the raw bytes
-# are never copied into the interpreter heap.
+# skipping per-event ``Event`` construction entirely — the feed for
+# ``repro analyze --batch``.  It is what the optional ``[np]`` extra is
+# for, and it imports NumPy on first call, never at module import.  The
+# decode is vectorized (one pass of array ops over the whole payload,
+# no per-varint Python), and ``load_trace_columns`` maps the file with
+# ``mmap`` so the raw bytes are never copied into the interpreter heap.
 #
 # Correctness contract: on *any* anomaly — bad magic, truncated varint,
 # CRC mismatch, structural disagreement, oversized values — the column

@@ -1,36 +1,31 @@
-"""Backend-selection errors and availability gating.
+"""Backend-selection errors.
 
 ``resolve_backend`` is the single funnel every layer goes through —
 CLI flags, the ``REPRO_STATE_BACKEND`` environment variable, detector
 constructors, net handshakes.  These tests pin its error surface:
-
-* unknown names fail with a stable message naming the *available*
-  backends,
-* asking for ``packed-np`` on an interpreter without numpy fails with a
-  distinct message pointing at the ``[np]`` extra (not a generic
-  "unknown backend"),
-* ``BACKENDS`` reflects availability while ``ALL_BACKENDS`` stays the
-  full universe, so choice lists degrade gracefully.
+unknown names — including the retired ``packed-np`` — fail with a
+stable message naming the available backends.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-import repro.core.backend as backend_mod
-from repro.core.backend import (
-    ALL_BACKENDS,
-    BACKENDS,
-    DEFAULT_BACKEND,
-    resolve_backend,
-)
+from repro.core.backend import BACKENDS, DEFAULT_BACKEND, resolve_backend
 from repro.detectors import FastTrackDetector
+
+#: names no backend answers to; ``packed-np`` was a NumPy backend that
+#: has been removed and must now read as any other unknown name
+UNKNOWN = ("slab-of-wasps", "packed-np")
 
 
 def test_backend_universe_is_consistent():
-    assert ALL_BACKENDS == ("object", "packed", "packed-np")
-    # BACKENDS is always an availability-ordered prefix of ALL_BACKENDS
-    assert BACKENDS in (ALL_BACKENDS, ALL_BACKENDS[:2])
+    assert BACKENDS == ("object", "packed")
     assert DEFAULT_BACKEND in BACKENDS
 
 
@@ -41,12 +36,12 @@ def test_resolve_explicit_and_default():
 
 
 def test_resolve_unknown_backend_names_choices():
-    with pytest.raises(ValueError) as exc:
-        resolve_backend("slab-of-wasps")
-    msg = str(exc.value)
-    assert "unknown state backend 'slab-of-wasps'" in msg
-    for name in BACKENDS:
-        assert name in msg
+    for bad in UNKNOWN:
+        with pytest.raises(ValueError) as exc:
+            resolve_backend(bad)
+        msg = str(exc.value)
+        assert f"unknown state backend {bad!r}" in msg
+        assert str(BACKENDS) in msg
 
 
 def test_environment_variable_is_honored(monkeypatch):
@@ -60,24 +55,10 @@ def test_environment_variable_is_honored(monkeypatch):
 
 
 def test_environment_variable_unknown_value(monkeypatch):
-    monkeypatch.setenv("REPRO_STATE_BACKEND", "nope")
-    with pytest.raises(ValueError, match="unknown state backend 'nope'"):
-        resolve_backend(None)
-
-
-def test_packed_np_without_numpy_points_at_extra(monkeypatch):
-    """Simulate a numpy-less interpreter: ``packed-np`` must fail with
-    the install hint, not the generic unknown-name error."""
-    monkeypatch.setattr(backend_mod, "BACKENDS", ALL_BACKENDS[:2])
-    with pytest.raises(ValueError) as exc:
-        backend_mod.resolve_backend("packed-np")
-    msg = str(exc.value)
-    assert "requires numpy" in msg
-    assert "[np]" in msg
-    assert "'object', 'packed'" in msg
-    # a genuinely unknown name still gets the unknown-name error
-    with pytest.raises(ValueError, match="unknown state backend"):
-        backend_mod.resolve_backend("packed-np2")
+    for bad in ("nope",) + UNKNOWN:
+        monkeypatch.setenv("REPRO_STATE_BACKEND", bad)
+        with pytest.raises(ValueError, match=f"unknown state backend '{bad}'"):
+            resolve_backend(None)
 
 
 def test_detector_constructor_rejects_unknown_backend():
@@ -88,19 +69,29 @@ def test_detector_constructor_rejects_unknown_backend():
 def test_cli_rejects_unknown_backend(capsys):
     from repro.cli import main
 
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--workload", "micro", "--state-backend", "bogus"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--state-backend" in err
-    for name in BACKENDS:
-        assert name in err
+    for bad in ("bogus",) + UNKNOWN:
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--workload", "micro", "--state-backend", bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--state-backend" in err
+        for name in BACKENDS:
+            assert name in err
 
 
-@pytest.mark.skipif(
-    "packed-np" not in BACKENDS, reason="numpy not installed"
-)
-def test_packed_np_resolves_when_numpy_present():
-    assert resolve_backend("packed-np") == "packed-np"
-    det = FastTrackDetector(backend="packed-np")
-    assert det.backend_name == "packed-np"
+def test_cli_and_server_import_without_numpy():
+    """NumPy serves only the binio column reader, which imports it on
+    first use: loading the CLI and the service front must not pull it in
+    (every shard worker would pay its memory otherwise)."""
+    code = (
+        "import sys, repro.cli, repro.net.server; "
+        "print('numpy' in sys.modules)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+

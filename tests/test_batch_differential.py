@@ -1,6 +1,6 @@
 """Differential tests: the batched fast path vs the scalar path.
 
-``Detector.run_batch`` (and the inlined FASTTRACK/PACER batch loops) is
+``Detector.run_batch`` (and the packed FASTTRACK/PACER batch kernels) is
 pure plumbing — it must be *behavior-identical* to feeding the same
 events through ``apply`` one at a time.  These tests pin that equivalence
 over hundreds of seeded random programs built from the micro workload
@@ -151,19 +151,8 @@ BACKEND_DETECTORS = [
     ("literace", lambda backend: LiteRaceDetector(seed=99, backend=backend)),
 ]
 
-#: the non-reference (arena) backends, with ``packed-np`` skipped
-#: gracefully on interpreters without numpy
-ARENA_BACKENDS = [
-    pytest.param("packed", id="packed"),
-    pytest.param(
-        "packed-np",
-        id="packed-np",
-        marks=pytest.mark.skipif(
-            "packed-np" not in AVAILABLE_BACKENDS,
-            reason="numpy not installed; packed-np backend unavailable",
-        ),
-    ),
-]
+#: the non-reference (arena) backends
+ARENA_BACKENDS = [b for b in AVAILABLE_BACKENDS if b != "object"]
 
 
 @pytest.mark.parametrize("arena", ARENA_BACKENDS)
@@ -172,8 +161,8 @@ def test_arena_backends_agree_with_object(seed, arena):
     """Each arena backend is observationally identical to the reference
     object backend: same race reports (down to indices), same operation
     counters, same footprint words, same thread bookkeeping — on both
-    the scalar and the batched dispatch path, and (for ``packed-np``)
-    through the vectorized column kernels on pre-encoded batches."""
+    the scalar and the batched dispatch path, and on pre-encoded
+    batches."""
     name, build = GENERATORS[seed % len(GENERATORS)]
     plain = _trace_for(build, seed)
     marked = _with_sampling_periods(plain, seed)

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.bench import PACKED_GATE_METRIC
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_trend.py"
 
 
@@ -70,3 +72,28 @@ def test_valid_history_renders_and_exits_zero(tmp_path):
     assert "packed vs object" in json.loads(as_json.stdout) or json.loads(
         as_json.stdout
     )
+
+
+def test_reference_baseline_is_its_own_series(tmp_path):
+    """The packed gate's baseline changed from the inlined object batch
+    loop to the object reference handlers; the relabelled metric must
+    start a new series rather than chart the jump as a speedup."""
+    path = tmp_path / "BENCH_history.jsonl"
+    old = {
+        "recorded_at": "2026-01-01T00:00:00",
+        "gates": [{"metric": "batched replay throughput, packed vs object "
+                             "backend (interleaved median ratio)",
+                   "speedup": 1.65, "target": 1.5}],
+    }
+    new = {
+        "recorded_at": "2026-01-02T00:00:00",
+        "gates": [{"metric": PACKED_GATE_METRIC,
+                   "speedup": 4.75, "target": 3.5}],
+    }
+    path.write_text(json.dumps(old) + "\n" + json.dumps(new) + "\n")
+    out = run(str(path), "--json")
+    assert out.returncode == 0
+    trends = json.loads(out.stdout)
+    assert sorted(trends) == ["packed vs object", "packed vs object-reference"]
+    assert [s["speedup"] for s in trends["packed vs object"]] == [1.65]
+    assert [s["speedup"] for s in trends["packed vs object-reference"]] == [4.75]

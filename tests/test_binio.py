@@ -270,7 +270,7 @@ class TestColumnReader:
 
     def test_columns_feed_the_kernels(self):
         """End to end: decoded columns drive a detector identically to
-        scalar events (the zero-copy path the packed-np kernels use)."""
+        scalar events (the zero-copy path ``repro analyze`` takes)."""
         from repro.core.backend import BACKENDS
         from repro.detectors import FastTrackDetector
         from repro.trace.binio import loads_binary_columns

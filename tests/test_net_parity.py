@@ -9,9 +9,8 @@ to running the same events through a detector in one process.  "Modulo
 session metadata" means exactly one field: ``source`` says
 ``"telemetry"`` instead of ``"analyze"``.
 
-Pinned on every available state backend (``object``, ``packed``, and —
-when numpy is installed — ``packed-np``) and for both an always-on
-detector (FASTTRACK) and the sampling one (PACER).
+Pinned on both state backends (``object`` and ``packed``) and for both
+an always-on detector (FASTTRACK) and the sampling one (PACER).
 """
 
 from __future__ import annotations

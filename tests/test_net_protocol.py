@@ -446,14 +446,17 @@ def test_server_rejects_unknown_detector(server):
 def test_server_rejects_unknown_backend(server):
     from repro.core.backend import BACKENDS
 
-    conn = RawConn(server.address)
-    conn.send(Hello(session="bad-backend", backend="packed-nope"))
-    err = conn.expect_error("handshake")
-    assert "state backend" in err.detail
-    # the refusal names every backend this server can actually build
-    for backend in BACKENDS:
-        assert backend in err.detail
-    conn.close()
+    # ``packed-np`` is a removed backend: it is refused like any typo
+    for bad in ("packed-nope", "packed-np"):
+        conn = RawConn(server.address)
+        conn.send(Hello(session=f"bad-backend-{bad}", backend=bad))
+        err = conn.expect_error("handshake")
+        assert "state backend" in err.detail
+        assert repr(bad) in err.detail
+        # the refusal names every backend this server can actually build
+        for backend in BACKENDS:
+            assert backend in err.detail
+        conn.close()
 
 
 def test_server_rejects_events_before_hello(server):

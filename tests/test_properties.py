@@ -10,6 +10,8 @@ construction), then check the paper's central claims:
 * the proportionality guarantee — FASTTRACK races with a sampled first
   access and no intervening conflicting access are always reported;
 * metadata economy — PACER tracks nothing it does not need;
+* the packed engine kernels equal the object reference handlers at any
+  batch boundary;
 * vector-clock lattice laws.
 """
 
@@ -20,6 +22,9 @@ from helpers import in_sampling_window, race_sigs, sampling_windows
 from repro import FastTrackDetector, GenericDetector, PacerDetector
 from repro.core.clocks import VectorClock
 from repro.trace.events import (
+    ALLOC,
+    METHOD_ENTER,
+    METHOD_EXIT,
     Event,
     acq,
     fork,
@@ -39,23 +44,43 @@ from repro.trace.trace import Trace
 # -- trace strategy -----------------------------------------------------------
 
 
+#: analysis no-ops (method events, allocation) that ride inside access runs
+NOOP_KINDS = (METHOD_ENTER, METHOD_EXIT, ALLOC)
+
+
 @st.composite
 def feasible_traces(draw, max_threads=4, max_vars=5, max_locks=3, max_len=60,
-                    with_sampling=False):
-    """Generate a feasible trace by simulating simple thread states."""
+                    with_sampling=False, with_joins_and_noops=False):
+    """Generate a feasible trace by simulating simple thread states.
+
+    ``with_joins_and_noops`` adds two event shapes: joins of forked
+    threads that hold no lock (the joined thread never acts again), and
+    method/allocation events, which the packed kernels carry inside
+    access runs rather than letting them break a run.
+    """
     n_threads = draw(st.integers(2, max_threads))
     length = draw(st.integers(5, max_len))
     events = [fork(0, tid) for tid in range(1, n_threads)]
     held = {tid: [] for tid in range(n_threads)}
     lock_holder = {}
+    alive = list(range(n_threads))
     sampling = False
     for _ in range(length):
         if with_sampling and draw(st.booleans()) and draw(st.integers(0, 3)) == 0:
             events.append(send() if sampling else sbegin())
             sampling = not sampling
-        tid = draw(st.integers(0, n_threads - 1))
-        choice = draw(st.integers(0, 9))
-        if choice <= 4:  # data access
+        tid = alive[draw(st.integers(0, len(alive) - 1))]
+        choice = draw(st.integers(0, 12 if with_joins_and_noops else 9))
+        if choice >= 10:
+            joinable = [t for t in alive if t not in (0, tid) and not held[t]]
+            if choice == 10 and joinable:
+                child = joinable[draw(st.integers(0, len(joinable) - 1))]
+                events.append(join(tid, child))
+                alive.remove(child)
+            else:
+                kind = NOOP_KINDS[draw(st.integers(0, len(NOOP_KINDS) - 1))]
+                events.append(Event(kind, tid, draw(st.integers(0, 3)), 0))
+        elif choice <= 4:  # data access
             var = draw(st.integers(0, max_vars - 1))
             site = draw(st.integers(1, 12))
             if draw(st.booleans()):
@@ -266,6 +291,58 @@ def test_pacer_lemma7_invariant(trace):
                 continue
             if tmeta.ver.get(vepoch_tid(ve)) >= vepoch_version(ve):
                 assert sync.clock.leq(tmeta.clock)
+
+
+# -- packed kernels vs the object reference -------------------------------------
+
+#: detectors whose batched packed path runs an engine kernel
+#: (:func:`~repro.core.engine.fasttrack_kernel` /
+#: :func:`~repro.core.engine.pacer_kernel`)
+KERNEL_DETECTORS = (
+    ("fasttrack", FastTrackDetector),
+    ("pacer", PacerDetector),
+    ("pacer-nodiscard",
+     lambda backend: PacerDetector(discard_metadata=False, backend=backend)),
+)
+
+
+def _observable(det):
+    return {
+        "races": list(det.races),
+        "counters": det.counters.snapshot(),
+        "footprint": det.footprint_words(),
+        "threads": sorted(det._threads),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    feasible_traces(with_sampling=True, with_joins_and_noops=True),
+    st.integers(1, 16),
+)
+def test_packed_kernels_match_object_reference(trace, batch_size):
+    """Packed scalar and packed batched dispatch equal object scalar.
+
+    A small drawn ``batch_size`` puts batch boundaries anywhere: inside
+    an access run, between a fork or join and the accesses it orders,
+    on a sampling marker, or around a riding no-op event.  The bulk
+    retirement of non-sampling runs in ``pacer_kernel`` and the
+    per-run clock cache in ``fasttrack_kernel`` must be invisible at
+    every one of them.
+    """
+    events = list(trace)
+    for label, make in KERNEL_DETECTORS:
+        ref = make(backend="object")
+        ref.run(events)
+        expected = _observable(ref)
+        scalar = make(backend="packed")
+        scalar.run(events)
+        assert _observable(scalar) == expected, f"{label} packed scalar"
+        batched = make(backend="packed")
+        batched.run_batch(events, batch_size=batch_size)
+        assert _observable(batched) == expected, (
+            f"{label} packed batched, batch_size={batch_size}"
+        )
 
 
 # -- packed-state representation ----------------------------------------------
