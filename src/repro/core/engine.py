@@ -236,10 +236,8 @@ def pacer_access_packed(det, k, tid, var, site, index):
     wep, rep = arena.wep, arena.rep
     rshared = arena.rshared
     races_append = det.races.append
-    # plain-int casts: NumPy arenas hand back array scalars, which must
-    # not leak into Race records or read maps (packed lists are no-ops)
-    w = int(wep[slot])
-    r = int(rep[slot])
+    w = wep[slot]
+    r = rep[slot]
     if k == 0:  # rd (Algorithm 12)
         if sampling and r == packed_own:
             return  # same read epoch: no action (exactly FASTTRACK)
@@ -249,7 +247,7 @@ def pacer_access_packed(det, k, tid, var, site, index):
             if wc > (c[wt] if wt < len(c) else 0):
                 races_append(
                     Race(var, WRITE_READ, wt, wc, arena.wsite[slot],
-                         tid, site, index, int(arena.windex[slot]))
+                         tid, site, index, arena.windex[slot])
                 )
         if sampling:
             if r == 0:
@@ -266,7 +264,7 @@ def pacer_access_packed(det, k, tid, var, site, index):
                 else:
                     rshared[slot] = {
                         rt: (r >> TID_BITS, arena.rsite[slot],
-                             int(arena.rindex[slot])),
+                             arena.rindex[slot]),
                         tid: (own, site, index),
                     }
                     rep[slot] = READ_SHARED
@@ -302,7 +300,7 @@ def pacer_access_packed(det, k, tid, var, site, index):
             if wc > (c[wt] if wt < len(c) else 0):
                 races_append(
                     Race(var, WRITE_WRITE, wt, wc, arena.wsite[slot],
-                         tid, site, index, int(arena.windex[slot]))
+                         tid, site, index, arena.windex[slot])
                 )
         if r:
             if r != READ_SHARED:
@@ -311,7 +309,7 @@ def pacer_access_packed(det, k, tid, var, site, index):
                 if rc > (c[rt] if rt < len(c) else 0):
                     races_append(
                         Race(var, READ_WRITE, rt, rc, arena.rsite[slot],
-                             tid, site, index, int(arena.rindex[slot]))
+                             tid, site, index, arena.rindex[slot])
                     )
             else:
                 for u, (rc, rs, ri) in rshared[slot].items():

@@ -276,16 +276,15 @@ class TelemetryClient:
         start = self.recorder.begin() if self.recorder is not None else 0
         if self.trace and self.trace_id:
             # fresh stamp per (re)transmit so chunk lag is measured from
-            # the send that actually reached the server
-            chunk = EventsChunk(
-                seq=chunk.seq, events=chunk.events, sent_ns=time.monotonic_ns()
-            )
+            # the send that actually reached the server; the encoded
+            # events are reused, only the frame's varint prefix changes
+            chunk = chunk.stamped(time.monotonic_ns())
         self._send(chunk)
         if self.recorder is not None:
             self.recorder.span(
                 "chunk-send",
                 start,
-                args={"seq": chunk.seq, "events": len(chunk.events)},
+                args={"seq": chunk.seq, "events": chunk.count},
                 flow=chunk_flow_id(self.trace_id, chunk.seq),
             )
         self.credits -= 1
@@ -306,7 +305,7 @@ class TelemetryClient:
                 )
             self._send_chunk(chunk)
             self.next_seq = chunk.seq + 1
-            self.events_sent += len(chunk.events)
+            self.events_sent += chunk.count
 
     def send_sites(self, sites: Dict[int, str]) -> None:
         """Ship (part of) the site-id -> source-location name table."""

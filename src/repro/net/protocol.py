@@ -8,15 +8,19 @@ Frame layout (all integers little-endian)::
 
     u32   length     (= 1 + len(payload) + 4; bounded by max_frame)
     u8    type       (one of the FRAME_* constants)
-    ...   payload    (JSON for control frames; varint seq + binio v2
-                      bytes for EVENTS)
+    ...   payload    (JSON for control frames; varint seq, varint
+                      sent_ns + binio v2 bytes for EVENTS)
     u32   crc32      (over the type byte plus the payload)
 
 The CRC trailer mirrors the binio v2 trace format: a flipped bit or a
 silently shortened stream is caught even when the damage still parses.
 EVENTS payloads embed a complete binio-v2 document (magic, version,
 count, CRC), so event data is integrity-checked twice — once per frame
-in flight, once per chunk at rest in the server's replay spool.
+in flight, once per chunk at rest in the server's replay spool.  That
+document is the chunk's one form from client to shard: the client
+encodes it once, the server checks its envelope and forwards the same
+bytes to the spool and the shard worker, and only the worker decodes
+events (:attr:`EventsChunk.events`, :func:`decode_events`).
 
 Error contract: **every** malformed input maps to a *named* subclass of
 :class:`ProtocolError` — never a hang, never a bare ``ValueError`` or
@@ -65,9 +69,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..trace.binio import dumps_binary, loads_binary
+from ..trace.binio import check_binary, decode_binary_events, dumps_binary
 from ..trace.events import Event
-from ..trace.trace import TraceError, TraceFormatError
+from ..trace.trace import TraceFormatError
 
 __all__ = [
     "PROTOCOL_SCHEMA",
@@ -98,6 +102,7 @@ __all__ = [
     "Report",
     "Sites",
     "Spans",
+    "decode_events",
     "decode_message",
     "encode_message",
 ]
@@ -442,9 +447,27 @@ class HelloAck:
     trace_id: int = 0
 
 
-@dataclass(frozen=True)
+def decode_events(data: bytes) -> List[Event]:
+    """Decode an EVENTS chunk's binio document into events.
+
+    ``data`` must already have passed the envelope checks of
+    :func:`decode_message` (header, event count, CRC); this checks the
+    record structure, and any format error is a :class:`PayloadError`.
+    """
+    try:
+        return decode_binary_events(data)
+    except TraceFormatError as exc:
+        raise PayloadError(f"events payload: {exc}") from None
+
+
 class EventsChunk:
-    """One sequenced chunk of trace events.
+    """One sequenced chunk of trace events, carried as binio-v2 bytes.
+
+    ``data`` is the chunk's wire form, a complete binio-v2 document, and
+    ``count`` the event count in its header.  A chunk built from events
+    encodes them once, here; retransmits, the server's spool, and the
+    shard pipe all reuse these bytes.  A chunk decoded off the wire holds
+    only the bytes, and :attr:`events` decodes them on demand.
 
     ``sent_ns`` is the sender's monotonic-clock nanosecond timestamp at
     send time (zero when tracing is disabled); the shard worker that
@@ -452,9 +475,48 @@ class EventsChunk:
     observe end-to-end chunk lag.
     """
 
-    seq: int
-    events: Tuple[Event, ...]
-    sent_ns: int = 0
+    __slots__ = ("seq", "data", "count", "sent_ns", "_events")
+
+    def __init__(
+        self, seq: int, events: Sequence[Event], sent_ns: int = 0
+    ) -> None:
+        self.seq = seq
+        self.sent_ns = sent_ns
+        self._events: Optional[Tuple[Event, ...]] = tuple(events)
+        self.data = dumps_binary(self._events)
+        self.count = len(self._events)
+
+    @classmethod
+    def from_data(
+        cls, seq: int, data: bytes, count: int, sent_ns: int = 0
+    ) -> "EventsChunk":
+        """A chunk around an already encoded (and checked) document."""
+        chunk = cls.__new__(cls)
+        chunk.seq = seq
+        chunk.data = data
+        chunk.count = count
+        chunk.sent_ns = sent_ns
+        chunk._events = None
+        return chunk
+
+    def stamped(self, sent_ns: int) -> "EventsChunk":
+        """The same chunk, same bytes, with a fresh send stamp."""
+        chunk = EventsChunk.from_data(self.seq, self.data, self.count, sent_ns)
+        chunk._events = self._events
+        return chunk
+
+    @property
+    def events(self) -> Tuple[Event, ...]:
+        """The chunk's events (decoded on first use; :class:`PayloadError`)."""
+        if self._events is None:
+            self._events = tuple(decode_events(self.data))
+        return self._events
+
+    def __repr__(self) -> str:
+        return (
+            f"EventsChunk(seq={self.seq}, count={self.count}, "
+            f"sent_ns={self.sent_ns})"
+        )
 
 
 @dataclass(frozen=True)
@@ -587,7 +649,7 @@ def encode_message(msg: Message, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
         out = bytearray()
         _write_varint(out, msg.seq)
         _write_varint(out, msg.sent_ns)
-        out += dumps_binary(msg.events)
+        out += msg.data
         return encode_frame(FRAME_EVENTS, bytes(out), max_frame)
     if isinstance(msg, Credit):
         return encode_frame(
@@ -678,16 +740,21 @@ def decode_message(frame: Frame) -> Message:
     Every malformed payload raises a named :class:`ProtocolError`
     subclass: :class:`PayloadError` for undecodable bytes or wrong field
     types, :class:`HandshakeError` for a HELLO with the wrong schema.
+
+    An EVENTS chunk's binio document is checked here up to its envelope
+    (magic, version, event count, CRC) but not decoded: the chunk keeps
+    the bytes, and its record structure is checked where it is decoded.
     """
     ftype = frame.type
     if ftype == FRAME_EVENTS:
         seq, pos = _read_varint(frame.payload, 0)
         sent_ns, pos = _read_varint(frame.payload, pos)
+        data = bytes(frame.payload[pos:])
         try:
-            trace = loads_binary(bytes(frame.payload[pos:]), validate=False)
-        except (TraceFormatError, TraceError) as exc:
+            count = check_binary(data)
+        except TraceFormatError as exc:
             raise PayloadError(f"events payload: {exc}") from None
-        return EventsChunk(seq=seq, events=tuple(trace.events), sent_ns=sent_ns)
+        return EventsChunk.from_data(seq, data, count, sent_ns)
     if ftype == FRAME_HELLO:
         doc = _json_doc(frame)
         schema = doc.get("schema")

@@ -13,7 +13,9 @@ drives a session through its lifecycle:
   (CREDIT with ``ack=seq``) only once it is both *analyzed* and
   *spooled*, so every acknowledged chunk survives a worker crash and
   every unacknowledged chunk is still owned by the client — exactly-once
-  end to end;
+  end to end.  The chunk stays the binio-v2 bytes the client sent: the
+  front tier checks their envelope and forwards them verbatim to the
+  shard and the spool, and only the shard decodes events;
 * **close / disconnect** — finalize the session on its shard (the
   re-entrant finalize from :mod:`repro.obs.observer`, so a disconnect
   followed by a resume followed by another finalize never
@@ -67,7 +69,9 @@ from ..obs.tracing import (
     SpanRecorder,
     assemble_service_trace,
 )
-from ..trace.binio import dumps_binary, loads_binary
+from ..trace.binio import check_binary
+# no longer called here; benchmarks/e2e/worker.py wraps this name
+from ..trace.binio import dumps_binary  # noqa: F401
 from .client import parse_address
 from .protocol import (
     DEFAULT_CREDITS,
@@ -211,9 +215,14 @@ class _Session:
         self.spool_bytes = 0
 
 
-def _read_spool(path: Path) -> List[List]:
-    """Every spooled chunk of a session, in append order."""
-    chunks: List[List] = []
+def _read_spool(path: Path) -> List[bytes]:
+    """Every spooled chunk of a session, in append order.
+
+    The spool is ``u32 len || binio doc`` per chunk; each document's
+    envelope (header, count, CRC) is checked at rest and the bytes are
+    returned as they are, for the shard to decode.
+    """
+    chunks: List[bytes] = []
     if not path.exists():
         return chunks
     data = path.read_bytes()
@@ -221,7 +230,9 @@ def _read_spool(path: Path) -> List[List]:
     while pos + 4 <= len(data):
         size = int.from_bytes(data[pos : pos + 4], "little")
         pos += 4
-        chunks.append(list(loads_binary(data[pos : pos + size], validate=False).events))
+        doc = data[pos : pos + size]
+        check_binary(doc)
+        chunks.append(doc)
         pos += size
     return chunks
 
@@ -529,8 +540,8 @@ class TelemetryServer:
             )
             if sess.site_names:
                 self._pool.add_sites(sess.name, dict(sess.site_names))
-            for events in _read_spool(sess.spool_path):
-                self._pool.apply(sess.name, events, {"replay": True})
+            for data in _read_spool(sess.spool_path):
+                self._pool.apply(sess.name, data, {"replay": True})
             self._finalize_session(sess)
             with self._sessions_lock:
                 self._sessions[sess.name] = sess
@@ -960,11 +971,12 @@ class TelemetryServer:
                     f"sequence gap on session {sess.name!r}: got chunk "
                     f"{chunk.seq}, expected {sess.applied_seq + 1}"
                 )
-            events = list(chunk.events)
             meta = {"seq": chunk.seq, "sent_ns": chunk.sent_ns, "replay": False}
             dispatch_start = self.recorder.begin()
+            # a chunk whose events do not decode raises PayloadError out
+            # of the shard before anything is applied, spooled or acked
             _races, lag_us = self._shard_call(
-                sess, lambda: self._pool.apply(sess.name, events, meta)
+                sess, lambda: self._pool.apply(sess.name, chunk.data, meta)
             )
             # the dispatch span is the front tier's backpressure wait:
             # its width is how long this chunk queued behind its shard
@@ -973,13 +985,13 @@ class TelemetryServer:
                 dispatch_start,
                 tid=conn_tid,
                 args={"session": sess.name, "seq": chunk.seq,
-                      "shard": sess.shard, "events": len(events)},
+                      "shard": sess.shard, "events": chunk.count},
             )
             if lag_us >= 0:
                 self.metrics.histogram(
                     "net_chunk_lag_us", buckets=LATENCY_BUCKETS_US
                 ).observe(lag_us)
-            payload = dumps_binary(events)
+            payload = chunk.data
             with open(sess.spool_path, "ab") as fh:
                 fh.write(len(payload).to_bytes(4, "little"))
                 fh.write(payload)
@@ -991,7 +1003,7 @@ class TelemetryServer:
                 self._spool_bytes_total += spooled
                 spool_total = self._spool_bytes_total
             self.metrics.counter("net_chunks_total").inc()
-            self.metrics.counter("net_events_total").inc(len(events))
+            self.metrics.counter("net_events_total").inc(chunk.count)
             self.metrics.gauge("net_spool_bytes").set_max(spool_total)
             quota = self.config.spool_quota_bytes
             if quota is not None and sess.spool_bytes > quota:
@@ -1092,8 +1104,8 @@ class TelemetryServer:
                       sess.trace_id))
                 if sess.site_names:
                     call(("sites", sess.name, dict(sess.site_names)))
-                for events in _read_spool(sess.spool_path):
-                    call(("events", sess.name, events, {"replay": True}))
+                for data in _read_spool(sess.spool_path):
+                    call(("events", sess.name, data, {"replay": True}))
                     replayed_chunks[0] += 1
                 self._log(
                     f"replayed session {sess.name}: {sess.applied_seq} "

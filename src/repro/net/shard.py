@@ -13,6 +13,8 @@ Workers are the supervisor's long-lived pipe-connected processes
 (:class:`repro.analysis.supervisor.PipeWorker`) running
 :func:`_shard_main`: a request/response loop over ``open`` / ``events``
 / ``sites`` / ``finalize`` / ``drop`` / ``ping`` / ``stop`` messages.
+An ``events`` message carries the chunk's binio-v2 document exactly as
+the client sent it; the worker is the one place it is decoded.
 Each session inside a worker is a :class:`SessionHost` — a detector with
 an attached :class:`~repro.obs.observer.RunObserver`, flight recorder,
 and an *exact* incremental
@@ -41,7 +43,7 @@ import threading
 import time
 import zlib
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..analysis.parallel import DETECTOR_FACTORIES
 from ..analysis.supervisor import PipeWorker
@@ -51,6 +53,7 @@ from ..obs.quality import build_coverage, sync_op_split
 from ..obs.reports import build_report
 from ..obs.tracing import PID_SHARD_BASE, SpanRecorder, chunk_flow_id
 from ..util.faults import CRASH_EXIT_CODE
+from .protocol import ProtocolError, decode_events, error_for_code
 
 __all__ = [
     "SessionHost",
@@ -117,8 +120,14 @@ class SessionHost:
         #: wire-propagated trace id (0 = tracing off for this session)
         self.trace_id = trace_id
 
-    def apply(self, events: Sequence) -> int:
-        """Analyze one chunk; returns the session's total race count."""
+    def apply(self, data: bytes) -> int:
+        """Analyze one chunk; returns the session's total race count.
+
+        ``data`` is the chunk's binio-v2 document.  It is decoded before
+        any session state changes, so a malformed chunk raises
+        :class:`~repro.net.protocol.PayloadError` with nothing applied.
+        """
+        events = decode_events(data)
         start = self.detector._events_seen
         self.sync_builder.add_chunk(start, events)
         self.detector.run(events)
@@ -210,13 +219,14 @@ class _HostTable:
                 trace_id=trace_id,
             )
 
-    def events(self, session: str, events: Sequence, meta=None) -> tuple:
+    def events(self, session: str, data: bytes, meta=None) -> tuple:
         host = self.hosts.get(session)
         if host is None:
             raise ShardError(f"no open session {session!r} on this shard")
         meta = meta or {}
         start = self.recorder.begin()
-        races = host.apply(events)
+        seen = host.detector._events_seen
+        races = host.apply(data)
         sent_ns = meta.get("sent_ns", 0)
         lag_us = -1
         if sent_ns:
@@ -226,7 +236,7 @@ class _HostTable:
         flow_in = None
         if host.trace_id and seq is not None and not replay:
             flow_in = chunk_flow_id(host.trace_id, seq)
-        args = {"session": session, "events": len(events)}
+        args = {"session": session, "events": host.detector._events_seen - seen}
         if seq is not None:
             args["seq"] = seq
         if lag_us >= 0:
@@ -325,6 +335,9 @@ def _shard_main(
                 conn.send(("ok", table.trace_group()))
             else:
                 conn.send(("fail", f"unknown shard op {op!r}"))
+        except ProtocolError as exc:
+            # a chunk the client got wrong: the parent re-raises it by code
+            conn.send(("error", exc.code, str(exc)))
         except Exception as exc:
             conn.send(("fail", f"{type(exc).__name__}: {exc}"))
 
@@ -367,7 +380,7 @@ class _InlineShard:
                 return "pong"
             if op == "trace":
                 return self.table.trace_group()
-        except ShardError:
+        except (ShardError, ProtocolError):
             raise
         except Exception as exc:
             raise ShardError(f"{type(exc).__name__}: {exc}") from exc
@@ -452,6 +465,8 @@ class ShardPool:
             ) from None
         if reply[0] == "fail":
             raise ShardError(reply[1])
+        if reply[0] == "error":
+            raise error_for_code(reply[1], reply[2])
         return reply[1]
 
     def _call(self, shard: int, msg):
@@ -498,17 +513,17 @@ class ShardPool:
             self.shard_of(session), ("open", session, detector, backend, trace_id)
         )
 
-    def apply(self, session: str, events: Sequence, meta: Optional[Dict] = None):
-        """Analyze one chunk.
+    def apply(self, session: str, data: bytes, meta: Optional[Dict] = None):
+        """Analyze one chunk, given as its binio-v2 document.
 
         Returns ``(races, lag_us)``: the session's race count so far and
         the end-to-end chunk lag in microseconds (``-1`` when the chunk
         carried no ``sent_ns`` timestamp).  ``meta`` forwards tracing
-        context to the worker: ``{"seq", "sent_ns", "replay"}``.
+        context to the worker: ``{"seq", "sent_ns", "replay"}``.  A
+        document whose events do not decode raises
+        :class:`~repro.net.protocol.PayloadError`; nothing is applied.
         """
-        return self._call(
-            self.shard_of(session), ("events", session, list(events), meta)
-        )
+        return self._call(self.shard_of(session), ("events", session, data, meta))
 
     def add_sites(self, session: str, sites: Dict[int, str]) -> None:
         self._call(self.shard_of(session), ("sites", session, dict(sites)))

@@ -40,6 +40,8 @@ __all__ = [
     "load_trace_binary",
     "dumps_binary",
     "loads_binary",
+    "check_binary",
+    "decode_binary_events",
     "loads_binary_columns",
     "load_trace_columns",
     "describe_binary",
@@ -162,12 +164,10 @@ def _check_crc(data: bytes) -> int:
     return stored
 
 
-def loads_binary(data: bytes, validate: bool = True) -> Trace:
-    """Parse the binary format into a :class:`Trace`.
+def _parse_count(data: bytes) -> Tuple[int, int, int, int]:
+    """Header plus event count; return (version, count, pos, end).
 
-    Raises :class:`TraceFormatError` on any structural problem and (when
-    ``validate`` is on) :class:`~repro.trace.trace.TraceError` if the
-    decoded events are not a feasible trace.
+    ``pos`` is the offset of the first event record.
     """
     version, pos, end = _parse_header(data)
     try:
@@ -180,6 +180,11 @@ def loads_binary(data: bytes, validate: bool = True) -> Trace:
         raise TraceFormatError(
             f"event count {count} exceeds remaining payload ({end - pos} bytes)"
         )
+    return version, count, pos, end
+
+
+def _decode_records(data: bytes, count: int, pos: int, end: int) -> List[Event]:
+    """The ``count`` event records in ``data[pos:end]``, which they must fill."""
     events: List[Event] = []
     for _ in range(count):
         kind_id, pos = _read_varint(data, pos, end)
@@ -195,12 +200,49 @@ def loads_binary(data: bytes, validate: bool = True) -> Trace:
         events.append(Event(ID_TO_KIND[kind_id], tid_plus - 1, target, site))
     if pos != end:
         raise TraceFormatError(f"{end - pos} trailing bytes after events")
+    return events
+
+
+def loads_binary(data: bytes, validate: bool = True) -> Trace:
+    """Parse the binary format into a :class:`Trace`.
+
+    Raises :class:`TraceFormatError` on any structural problem and (when
+    ``validate`` is on) :class:`~repro.trace.trace.TraceError` if the
+    decoded events are not a feasible trace.
+    """
+    version, count, pos, end = _parse_count(data)
+    events = _decode_records(data, count, pos, end)
     if version >= 2:
         _check_crc(data)
     trace = Trace(events)
     if validate:
         trace.validate()
     return trace
+
+
+def check_binary(data: bytes) -> int:
+    """Check a binary document's envelope without decoding its events.
+
+    Runs the checks that need no per-event work — magic, version, the
+    event count against the payload size, and (v2+) the CRC32 trailer —
+    and returns the declared event count.  The record structure is left
+    to :func:`decode_binary_events`.  Raises :class:`TraceFormatError`.
+    """
+    version, count, _pos, _end = _parse_count(data)
+    if version >= 2:
+        _check_crc(data)
+    return count
+
+
+def decode_binary_events(data: bytes) -> List[Event]:
+    """Decode the events of a document :func:`check_binary` accepted.
+
+    Checks the record structure (kind ids, varints, exact fill) but not
+    the CRC32 trailer, which ``check_binary`` already verified.  Raises
+    :class:`TraceFormatError`.
+    """
+    _version, count, pos, end = _parse_count(data)
+    return _decode_records(data, count, pos, end)
 
 
 # -- columnar (zero-copy) reader ---------------------------------------------

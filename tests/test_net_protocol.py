@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import socket
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,7 @@ from repro.net.protocol import (
     encode_message,
     error_for_code,
 )
+from repro.net.client import TelemetryClient
 from repro.net.server import ServerConfig, TelemetryServer
 from repro.trace.events import (
     ACQUIRE,
@@ -341,6 +343,40 @@ def test_hello_payload_fuzz_is_named(payload):
         assert isinstance(msg, Hello)
 
 
+def broken_events_payload(seq: int = 1) -> bytes:
+    """An EVENTS payload whose binio document carries kind id 13.
+
+    Its binio CRC is recomputed, so only decoding the records shows
+    the damage.
+    """
+    doc = b"PACR" + bytes([2, 1, 13, 1, 1, 0])  # v2, 1 event: kind 13
+    doc += zlib.crc32(doc).to_bytes(4, "little")
+    return bytes([seq, 0]) + doc  # varint seq (< 128), varint sent_ns 0
+
+
+def test_events_decode_checks_the_envelope_not_the_records():
+    chunk = decode_message(Frame(FRAME_EVENTS, broken_events_payload(seq=7)))
+    assert isinstance(chunk, EventsChunk)
+    assert (chunk.seq, chunk.count, chunk.sent_ns) == (7, 1, 0)
+    with pytest.raises(PayloadError) as exc_info:
+        chunk.events
+    assert "kind id 13" in str(exc_info.value)
+    assert_named(exc_info.value)
+
+
+def test_events_chunk_is_encoded_once():
+    events = (Event(WRITE, 0, 7, 1), Event(READ, 1, 7, 2))
+    chunk = EventsChunk(seq=3, events=events)
+    stamped = chunk.stamped(123456789)
+    # a fresh stamp reuses the encoded document: only the prefix moves
+    assert stamped.data is chunk.data and stamped.events is chunk.events
+    (frame,) = decode_all(encode_message(stamped))
+    decoded = decode_message(frame)
+    assert (decoded.seq, decoded.sent_ns, decoded.count) == (3, 123456789, 2)
+    assert decoded.data == chunk.data
+    assert decoded.events == events
+
+
 def test_hello_rejects_wrong_schema():
     payload = json.dumps(
         {"session": "s", "detector": "fasttrack", "backend": None,
@@ -590,3 +626,41 @@ def test_server_query_needs_no_session(server):
     assert report.doc["schema"].startswith("repro/telemetry-status/")
     assert "sessions" in report.doc and "report" in report.doc
     conn.close()
+
+
+@pytest.mark.parametrize("shard_mode", ["inline", "process"])
+def test_server_names_shard_rejected_chunks(shard_mode, tmp_path):
+    """A chunk only the shard can see is broken gets ``bad-payload``.
+
+    Nothing of it is applied, spooled or acknowledged, and the shard
+    goes on serving other sessions.
+    """
+    config = ServerConfig(
+        n_shards=1, shard_mode=shard_mode, spool_dir=str(tmp_path)
+    )
+    with TelemetryServer(config) as srv:
+        conn = RawConn(srv.address)
+        _hello(conn, "conf-broken")
+        conn.send_raw(encode_frame(FRAME_EVENTS, broken_events_payload()))
+        err = conn.expect_error("bad-payload")  # no CREDIT came first
+        assert "kind id 13" in err.detail
+        conn.close()
+        doc = srv.session_doc("conf-broken")
+        assert (doc["events"], doc["chunks"]) == (0, 0)
+        assert all(p.stat().st_size == 0 for p in tmp_path.glob("*.spool"))
+        assert srv.metrics.counter("net_events_total").value == 0
+        assert srv.metrics.counter("net_chunks_total").value == 0
+        # the session is resumable at seq 0: nothing was acknowledged
+        conn = RawConn(srv.address)
+        conn.send(Hello(session="conf-broken", resume=True))
+        ack = conn.recv_msg()
+        assert isinstance(ack, HelloAck) and ack.resume_seq == 0
+        conn.close()
+        # the same shard goes on serving other sessions
+        events = [Event(WRITE, 0, 7, 1), Event(WRITE, 1, 7, 2)] * 5
+        client = TelemetryClient(srv.address, "conf-after-broken", chunk_size=3)
+        client.connect()
+        client.send_events(events)
+        summary = client.close()
+        assert summary["events"] == len(events)
+        assert summary["races"] >= 1
