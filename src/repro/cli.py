@@ -395,10 +395,9 @@ def cmd_analyze(args) -> int:
         fmt = "binary" if path.read_bytes()[:4] == MAGIC else "text"
     trace = None
     columns = None
-    if args.batch and fmt == "binary" and not args.report_out:
+    if args.batch and fmt == "binary":
         # zero-copy fast path: mmap the file and decode the wire format
-        # straight into EventBatch columns (report witnesses need the
-        # in-memory sync index, so --report-out takes the scalar load)
+        # straight into EventBatch columns
         columns = load_trace_columns(path)
     else:
         trace = _load(path, fmt)
@@ -417,7 +416,8 @@ def cmd_analyze(args) -> int:
     # index rather than the bounded flight-recorder window
     _write_report_output(
         obs, detector, args, "analyze", detector.perf.events,
-        sync=SyncIndex.from_trace(trace) if args.report_out else None,
+        sync=(SyncIndex.from_trace(columns if columns is not None else trace)
+              if args.report_out else None),
         quiet=args.json,
     )
     _write_coverage_output(

@@ -144,16 +144,20 @@ class Detector:
         handler(event)
 
     def run(self, events: Iterable[Event]) -> List[Race]:
-        """Analyze a whole trace; returns the accumulated race list."""
+        """Analyze a whole trace; returns the accumulated race list.
+
+        With a flight recorder attached the events take the recorded
+        replay (:meth:`_run_recorded`), exactly as :meth:`run_batch` does.
+        """
         obs = self.observer
+        if obs is not None and getattr(obs, "recorder", None) is not None:
+            return self._run_recorded(iter_batches(events), obs)
         start = time.perf_counter_ns()
         count = 0
         if obs is None:
             for event in events:
                 self.apply(event)
                 count += 1
-        elif getattr(obs, "recorder", None) is not None:
-            return self._run_recorded(events, obs)
         else:
             cadence = obs.sample_every
             for event in events:
@@ -176,17 +180,13 @@ class Detector:
         metadata — but events flow as columnar :class:`EventBatch` chunks
         through :meth:`apply_batch`, which FASTTRACK and PACER route to the
         packed engine kernels.  ``events`` may be any event iterable or an
-        already encoded :class:`EventBatch`.
+        already encoded :class:`EventBatch`.  An attached flight recorder
+        keeps that route: the recorded replay (:meth:`_run_recorded`)
+        feeds the same kernels and fills the recorder from the columns.
         """
         obs = self.observer
         if obs is not None and getattr(obs, "recorder", None) is not None:
-            # flight recording needs per-event capture in trace order, so
-            # the batched fast path is bypassed — scalar and batched
-            # dispatch then produce byte-identical provenance
-            return self._run_recorded(
-                (e for batch in iter_batches(events, batch_size) for e in batch),
-                obs,
-            )
+            return self._run_recorded(iter_batches(events, batch_size), obs)
         start = time.perf_counter_ns()
         count = 0
         batches = 0
@@ -212,36 +212,59 @@ class Detector:
             perf.max_batch = max_batch
         return self.races
 
-    def _run_recorded(self, events: Iterable[Event], obs) -> List[Race]:
-        """Scalar replay with flight recording and report-time capture.
+    def _run_recorded(self, batches: Iterable[EventBatch], obs) -> List[Race]:
+        """Batched replay with flight recording and report-time capture.
 
-        Every event lands in the observer's
-        :class:`~repro.obs.provenance.FlightRecorder` *before* analysis,
-        and any race the analysis appends — whether through
-        :meth:`report` or directly from the engine kernels'
-        ``races_append`` — triggers ``obs.on_race`` while the
-        surrounding events are still in the rings.  Used by both
-        :meth:`run` and :meth:`run_batch` so provenance is identical
-        across dispatch modes.
+        Each batch is cut into segments that end at every global multiple
+        of ``obs.sample_every`` and at the batch's end, and each segment
+        runs through :meth:`apply_batch`.  Only then is it recorded into
+        the observer's :class:`~repro.obs.provenance.FlightRecorder`,
+        straight from the columns and up to each new race's ``index``
+        before ``obs.on_race`` captures that race — so every race sees
+        exactly the rings a record-then-analyze loop would have shown it,
+        and races sharing an index share a ring state.  ``obs.on_events``
+        probes at the global multiples, so a session fed chunk by chunk
+        probes where a single call does.  Used by both :meth:`run` and
+        :meth:`run_batch`, so provenance is identical across dispatch
+        modes; it observes no batch slices and counts no ``perf.batches``.
         """
-        rec = obs.recorder
-        start = time.perf_counter_ns()
-        count = 0
+        record = obs.recorder.record_columns
         cadence = obs.sample_every
         races = self.races
-        known = len(races)
-        record = rec.record
-        for event in events:
-            record(self._events_seen, event.kind, event.tid, event.target,
-                   event.site)
-            self.apply(event)
-            count += 1
-            if len(races) > known:
-                for race in races[known:]:
-                    obs.on_race(self, race)
+        start = time.perf_counter_ns()
+        count = 0
+        for batch in batches:
+            kinds, tids, targets, sites = batch.to_list_columns()
+            n = len(kinds)
+            base = self._events_seen
+            lo = 0
+            while lo < n:
+                hi = min(n, lo + cadence - (base + lo) % cadence)
                 known = len(races)
-            if count % cadence == 0:
-                obs.on_events(self, self._events_seen)
+                self.apply_batch(
+                    batch if hi - lo == n else EventBatch.from_columns(
+                        kinds[lo:hi], tids[lo:hi], targets[lo:hi], sites[lo:hi]
+                    )
+                )
+                done = lo  # the segment's events already in the rings
+                for race in races[known:]:
+                    first = base + max(done - 1, lo)
+                    if not first <= race.index < base + hi:
+                        raise RuntimeError(
+                            f"race index {race.index} outside "
+                            f"[{first}, {base + hi}): a segment's races must "
+                            f"fall inside it, in trace order"
+                        )
+                    upto = race.index - base + 1
+                    if upto > done:
+                        record(base, kinds, tids, targets, sites, done, upto)
+                        done = upto
+                    obs.on_race(self, race)
+                record(base, kinds, tids, targets, sites, done, hi)
+                if (base + hi) % cadence == 0:
+                    obs.on_events(self, base + hi)
+                lo = hi
+            count += n
         self.perf.elapsed_ns += time.perf_counter_ns() - start
         self.perf.events += count
         return races

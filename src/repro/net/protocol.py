@@ -20,7 +20,8 @@ in flight, once per chunk at rest in the server's replay spool.  That
 document is the chunk's one form from client to shard: the client
 encodes it once, the server checks its envelope and forwards the same
 bytes to the spool and the shard worker, and only the worker decodes
-events (:attr:`EventsChunk.events`, :func:`decode_events`).
+the records, into columns (:func:`decode_columns`).
+:attr:`EventsChunk.events` decodes a chunk into events on demand.
 
 Error contract: **every** malformed input maps to a *named* subclass of
 :class:`ProtocolError` — never a hang, never a bare ``ValueError`` or
@@ -69,7 +70,13 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..trace.binio import check_binary, decode_binary_events, dumps_binary
+from ..trace.binio import (
+    Columns,
+    check_binary,
+    decode_binary_columns,
+    decode_binary_events,
+    dumps_binary,
+)
 from ..trace.events import Event
 from ..trace.trace import TraceFormatError
 
@@ -102,6 +109,7 @@ __all__ = [
     "Report",
     "Sites",
     "Spans",
+    "decode_columns",
     "decode_events",
     "decode_message",
     "encode_message",
@@ -447,13 +455,23 @@ class HelloAck:
     trace_id: int = 0
 
 
-def decode_events(data: bytes) -> List[Event]:
-    """Decode an EVENTS chunk's binio document into events.
+def decode_columns(data: bytes) -> Columns:
+    """Decode an EVENTS chunk's binio document into record columns.
 
-    ``data`` must already have passed the envelope checks of
-    :func:`decode_message` (header, event count, CRC); this checks the
-    record structure, and any format error is a :class:`PayloadError`.
+    Returns ``(kinds, tids, targets, sites)`` lists — what a shard
+    worker replays.  ``data`` must already have passed the envelope
+    checks of :func:`decode_message` (header, event count, CRC); this
+    checks the record structure, and any format error is a
+    :class:`PayloadError`.
     """
+    try:
+        return decode_binary_columns(data)
+    except TraceFormatError as exc:
+        raise PayloadError(f"events payload: {exc}") from None
+
+
+def decode_events(data: bytes) -> List[Event]:
+    """:func:`decode_columns`, as events (:attr:`EventsChunk.events`)."""
     try:
         return decode_binary_events(data)
     except TraceFormatError as exc:

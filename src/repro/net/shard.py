@@ -14,7 +14,8 @@ Workers are the supervisor's long-lived pipe-connected processes
 :func:`_shard_main`: a request/response loop over ``open`` / ``events``
 / ``sites`` / ``finalize`` / ``drop`` / ``ping`` / ``stop`` messages.
 An ``events`` message carries the chunk's binio-v2 document exactly as
-the client sent it; the worker is the one place it is decoded.
+the client sent it; the worker is the one place it is decoded, to the
+columns its session replays.
 Each session inside a worker is a :class:`SessionHost` — a detector with
 an attached :class:`~repro.obs.observer.RunObserver`, flight recorder,
 and an *exact* incremental
@@ -52,8 +53,9 @@ from ..obs.provenance import DEFAULT_WINDOW, FlightRecorder, SyncIndexBuilder
 from ..obs.quality import build_coverage, sync_op_split
 from ..obs.reports import build_report
 from ..obs.tracing import PID_SHARD_BASE, SpanRecorder, chunk_flow_id
+from ..trace.batch import EventBatch
 from ..util.faults import CRASH_EXIT_CODE
-from .protocol import ProtocolError, decode_events, error_for_code
+from .protocol import ProtocolError, decode_columns, error_for_code
 
 __all__ = [
     "SessionHost",
@@ -89,10 +91,11 @@ class SessionHost:
 
     Mirrors exactly what ``repro analyze --report-out`` builds for an
     in-memory trace: the same detector factory, an observer with a
-    flight recorder (so the per-event *recorded* run loop is taken and
-    race contexts are captured at report time), and an exact sync index
-    — fed incrementally with global event indices before each chunk is
-    analyzed, precisely when the offline path would have recorded them.
+    flight recorder (so the recorded replay is taken: the batched
+    kernels, then the rings filled from the columns and race contexts
+    captured at report time), and an exact sync index — fed each chunk's
+    columns with their global event indices before the chunk is
+    analyzed.
     """
 
     def __init__(
@@ -123,16 +126,18 @@ class SessionHost:
     def apply(self, data: bytes) -> int:
         """Analyze one chunk; returns the session's total race count.
 
-        ``data`` is the chunk's binio-v2 document.  It is decoded before
-        any session state changes, so a malformed chunk raises
-        :class:`~repro.net.protocol.PayloadError` with nothing applied.
+        ``data`` is the chunk's binio-v2 document.  It is decoded to
+        columns before any session state changes, so a malformed chunk
+        raises :class:`~repro.net.protocol.PayloadError` with nothing
+        applied.  The columns are indexed, then replayed through the
+        detector's recorded replay; no event objects are decoded.
         """
-        events = decode_events(data)
-        start = self.detector._events_seen
-        self.sync_builder.add_chunk(start, events)
-        self.detector.run(events)
+        kinds, tids, targets, sites = decode_columns(data)
+        det = self.detector
+        self.sync_builder.add_columns(det._events_seen, kinds, tids, targets)
+        det.run_batch(EventBatch.from_columns(kinds, tids, targets, sites))
         self.chunks_applied += 1
-        return len(self.detector.races)
+        return len(det.races)
 
     def add_sites(self, sites: Dict[int, str]) -> None:
         self.site_names.update(sites)

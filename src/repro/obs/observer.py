@@ -21,10 +21,13 @@ fire per batch / per GC, sampling marks per period transition.  With no
 observer attached the instrumentation is one predictable branch.  The
 one deliberate exception is race provenance: when a
 :class:`~repro.obs.provenance.FlightRecorder` is attached via
-``RunObserver(recorder=...)``, the detector run loop records every event
-into bounded per-thread rings and :meth:`RunObserver.on_race` captures
-context at report time — an explicitly opt-in cost that never touches
-the disabled path.
+``RunObserver(recorder=...)``, the detector's recorded replay runs each
+segment of events through the batched kernels and then records the
+segment from its columns into bounded per-thread rings, pausing at each
+new race so that :meth:`RunObserver.on_race` captures its context — an
+explicitly opt-in cost that never touches the disabled path.  Segments
+end at the virtual-time multiples of ``sample_every``, where the replay
+probes, so a run fed in many calls probes where a single call does.
 
 Determinism: probes are driven by *virtual* time only, so
 :meth:`timeline_jsonl` is byte-identical across repeated runs, ``--jobs``
@@ -83,8 +86,8 @@ class RunObserver:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sample_every = sample_every
         #: optional :class:`repro.obs.provenance.FlightRecorder`; when set,
-        #: ``Detector.run``/``run_batch`` take the per-event recording loop
-        #: and call :meth:`on_race` for every appended race report
+        #: ``Detector.run``/``run_batch`` take the recorded replay and
+        #: call :meth:`on_race` for every appended race report
         self.recorder = recorder
         #: flight-recorder context per race report, parallel to the
         #: detector's race list (empty dicts when no recorder is attached)

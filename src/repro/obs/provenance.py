@@ -10,9 +10,14 @@ evidence sources behind ``repro.obs.reports``:
   times).  Recording is O(1) per event and entirely absent when no
   recorder is attached: the detectors' hot paths keep their single
   ``observer is None`` branch, and :meth:`Detector.run`/``run_batch``
-  only enter the recording loop when ``observer.recorder`` is set.  At
-  report time :meth:`FlightRecorder.capture` cuts the event context
-  surrounding both racing accesses out of the rings.
+  only take the recorded replay when ``observer.recorder`` is set.  That
+  replay runs each segment of events through the batched kernels first
+  and then records the segment from its columns
+  (:meth:`FlightRecorder.record_columns`), stopping at each new race's
+  position so that :meth:`FlightRecorder.capture` cuts the context
+  surrounding both racing accesses out of exactly the rings a per-event
+  loop would have held at report time.  The live monitor records one
+  event at a time (:meth:`FlightRecorder.record`).
 
 * :class:`SyncIndex` + :func:`extract_witness` — reconstructs the
   vector-clock evidence for a reported race: the release-like operations
@@ -38,12 +43,16 @@ byte-identical, which the determinism tests pin.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..trace.batch import EventBatch
 from ..trace.events import (
     ACQUIRE,
     FORK,
+    ID_TO_KIND,
     JOIN,
+    KIND_TO_ID,
     RELEASE,
     SBEGIN,
     SEND,
@@ -77,12 +86,27 @@ ACQUIRE_LIKE = frozenset((ACQUIRE, VOL_READ, JOIN))
 #: object (fork/join pair on thread ids and are matched separately)
 _PAIRED = {RELEASE: ACQUIRE, VOL_WRITE: VOL_READ}
 
+_SBEGIN_ID = KIND_TO_ID[SBEGIN]
+_SEND_ID = KIND_TO_ID[SEND]
+
+#: kind ids of the synchronization actions
+_SYNC_IDS = frozenset(KIND_TO_ID[kind] for kind in SYNC_KINDS)
+
+#: kind-id byte -> 1 for the events a sync index keeps (synchronization
+#: actions and period boundaries), 0 otherwise: the ``bytes.translate``
+#: selector that lets :meth:`SyncIndexBuilder.add_columns` skip accesses
+_INDEXED_TABLE = bytes(
+    1 if b in _SYNC_IDS or b == _SBEGIN_ID or b == _SEND_ID else 0
+    for b in range(256)
+)
+
 
 class FlightRecorder:
     """Bounded per-thread ring buffers of recent events.
 
-    ``record`` is the per-event hot call: one dict lookup plus one deque
-    append (deques with ``maxlen`` evict in O(1)).  Sync operations are
+    ``record`` is the per-event call: one dict lookup plus one deque
+    append (deques with ``maxlen`` evict in O(1)); ``record_columns``
+    does the same for a range of a column batch.  Sync operations are
     additionally kept in a longer per-thread side log so witnesses can
     reach back further than the access window, and ``sbegin``/``send``
     transitions land in ``sampling_marks`` for sampling attribution.
@@ -139,6 +163,41 @@ class FlightRecorder:
             log.append((index, kind, target))
         self.events_recorded += 1
 
+    def record_columns(self, start: int, kinds, tids, targets, sites,
+                       lo: int, hi: int) -> None:
+        """Record events ``lo`` to ``hi - 1`` of a column batch whose event
+        0 sits at trace position ``start`` — the same rings, sync logs and
+        sampling marks as :meth:`record` called for each in turn."""
+        rings = self._rings
+        sync = self._sync
+        marks = self.sampling_marks
+        id_to_kind = ID_TO_KIND
+        sync_ids = _SYNC_IDS
+        sbegin_id, send_id = _SBEGIN_ID, _SEND_ID
+        window = self.window
+        recorded = 0
+        for index, k, tid, target, site in zip(
+            range(start + lo, start + hi), kinds[lo:hi], tids[lo:hi],
+            targets[lo:hi], sites[lo:hi],
+        ):
+            if k == sbegin_id or k == send_id:
+                entering = k == sbegin_id
+                if not marks or marks[-1][1] != entering:
+                    marks.append((index, entering))
+                continue
+            ring = rings.get(tid)
+            if ring is None:
+                ring = rings[tid] = deque(maxlen=window)
+            kind = id_to_kind[k]
+            ring.append((index, kind, target, site))
+            if k in sync_ids:
+                log = sync.get(tid)
+                if log is None:
+                    log = sync[tid] = deque(maxlen=self.sync_window)
+                log.append((index, kind, target))
+            recorded += 1
+        self.events_recorded += recorded
+
     # -- capture (report time) ----------------------------------------------
 
     def _context(self, tid: int, pivot: int) -> Dict:
@@ -169,11 +228,12 @@ class FlightRecorder:
     def capture(self, race) -> Dict:
         """Flight-recorder context for both accesses of a reported race.
 
-        Called from ``RunObserver.on_race`` immediately after the racing
-        (second) access was analyzed, so the second context is always
-        complete; the first access may have aged out of its thread's
-        ring, in which case its ``complete`` flag is False and the
-        nearest surviving events are returned instead.
+        Called from ``RunObserver.on_race`` once the rings hold every
+        event up to the racing (second) access and none after it, so the
+        second context is always complete; the first access may have
+        aged out of its thread's ring, in which case its ``complete``
+        flag is False and the nearest surviving events are returned
+        instead.
         """
         second = self._context(race.second_tid, race.index)
         first: Optional[Dict] = None
@@ -203,10 +263,13 @@ class SyncIndex:
 
     @classmethod
     def from_trace(cls, events) -> "SyncIndex":
-        """Exact index over a full event sequence."""
+        """Exact index over a full trace: an event sequence, or the same
+        trace as an :class:`~repro.trace.batch.EventBatch`."""
+        batch = (events if isinstance(events, EventBatch)
+                 else EventBatch.from_events(events))
+        kinds, tids, targets, _sites = batch.to_list_columns()
         builder = SyncIndexBuilder()
-        for index, event in enumerate(events):
-            builder.add(index, event)
+        builder.add_columns(0, kinds, tids, targets)
         return builder.build()
 
     @classmethod
@@ -274,8 +337,8 @@ class SyncIndexBuilder:
     events chunk by chunk and cannot keep the full trace, but it can
     afford this builder: sync operations are a few percent of a trace,
     so holding all of them stays far below holding every access.  Feed
-    every event with its *global* trace position before analyzing it,
-    then :meth:`build`.  The result is indistinguishable from
+    every chunk's columns with the *global* trace position of its first
+    event, then :meth:`build`.  The result is indistinguishable from
     :meth:`SyncIndex.from_trace` over the concatenated trace — which is
     what makes streamed race reports byte-identical to offline ones.
     """
@@ -287,28 +350,24 @@ class SyncIndexBuilder:
         self._marks: List[Tuple[int, bool]] = []
         self.events_indexed = 0
 
-    def add(self, index: int, event) -> None:
-        """Index one event at global trace position ``index``."""
-        kind = event.kind
-        if kind == SBEGIN or kind == SEND:
-            entering = kind == SBEGIN
-            marks = self._marks
-            if not marks or marks[-1][1] != entering:
-                marks.append((index, entering))
-        elif kind in SYNC_KINDS:
-            self._sync.setdefault(event.tid, []).append(
-                (index, kind, event.target)
-            )
-        self.events_indexed += 1
-
-    def add_chunk(self, start: int, events) -> int:
-        """Index a chunk whose first event sits at position ``start``;
-        returns the position one past the chunk's last event."""
-        index = start
-        for event in events:
-            self.add(index, event)
-            index += 1
-        return index
+    def add_columns(self, start: int, kinds, tids, targets) -> int:
+        """Index a column batch whose first event sits at position
+        ``start``; returns the position one past its last event.  Only
+        synchronization actions and period boundaries cost any work."""
+        marks = self._marks
+        sync = self._sync
+        for i in compress(range(len(kinds)), bytes(kinds).translate(_INDEXED_TABLE)):
+            k = kinds[i]
+            if k == _SBEGIN_ID or k == _SEND_ID:
+                entering = k == _SBEGIN_ID
+                if not marks or marks[-1][1] != entering:
+                    marks.append((start + i, entering))
+            else:
+                sync.setdefault(tids[i], []).append(
+                    (start + i, ID_TO_KIND[k], targets[i])
+                )
+        self.events_indexed += len(kinds)
+        return start + len(kinds)
 
     def build(self) -> SyncIndex:
         """Snapshot the accumulated state as an exact index."""

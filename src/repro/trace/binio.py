@@ -24,6 +24,11 @@ naming the precise failure (bad magic, unsupported version, truncated
 varint at a byte offset, trailing bytes, or a CRC32 mismatch) rather
 than yielding garbage events.  ``repro verify-trace`` exposes the same
 checks as a CLI command via :func:`describe_binary`.
+
+One record decoder serves every pure-Python reader: it yields
+``(kinds, tids, targets, sites)`` columns, which shard workers replay
+directly and :func:`loads_binary` turns into
+:class:`~repro.trace.events.Event` records.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "dumps_binary",
     "loads_binary",
     "check_binary",
+    "decode_binary_columns",
     "decode_binary_events",
     "loads_binary_columns",
     "load_trace_columns",
@@ -56,6 +62,13 @@ SUPPORTED_VERSIONS = (VERSION_1, VERSION)
 
 _CRC_BYTES = 4
 
+#: the longest varint :func:`_read_varint` accepts, in bytes
+_MAX_VARINT = 10
+
+#: records per decoded block in :func:`loads_binary`, so a whole-file load
+#: holds one block's columns, not the whole trace's, next to its events
+_EVENT_BLOCK = 4096
+
 _N_KINDS = len(ID_TO_KIND)
 _SBEGIN_ID = KIND_TO_ID[SBEGIN]
 _SEND_ID = KIND_TO_ID[SEND]
@@ -63,6 +76,9 @@ _SEND_ID = KIND_TO_ID[SEND]
 # historical aliases from when the numbering lived in this module
 _KIND_TO_ID = KIND_TO_ID
 _ID_TO_KIND = ID_TO_KIND
+
+#: decoded records as parallel lists: kind ids, tids, targets, sites
+Columns = Tuple[List[int], List[int], List[int], List[int]]
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -102,29 +118,46 @@ def dumps_binary(events: Iterable[Event], version: int = VERSION) -> bytes:
     """
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(f"cannot write version {version} (supported: {SUPPORTED_VERSIONS})")
-    events = list(events)
+    rows = events if isinstance(events, (list, tuple)) else list(events)
     out = bytearray()
     out += MAGIC
     out.append(version)
-    _write_varint(out, len(events))
-    for e in events:
-        kind_id = KIND_TO_ID.get(e.kind)
+    _write_varint(out, len(rows))
+    append = out.append
+    write = _write_varint
+    kind_ids = KIND_TO_ID.get
+    sbegin_id, send_id = _SBEGIN_ID, _SEND_ID
+    # most operands fit one varint byte: those are appended inline, and
+    # longer (or invalid) values go through _write_varint
+    for kind, tid, target, site in rows:
+        kind_id = kind_ids(kind)
         if kind_id is None:
-            raise ValueError(f"unknown event kind {e.kind!r}")
-        _write_varint(out, kind_id)
-        if e.kind in (SBEGIN, SEND):
+            raise ValueError(f"unknown event kind {kind!r}")
+        append(kind_id)  # every kind id is below 0x80
+        if kind_id == sbegin_id or kind_id == send_id:
             continue
-        if e.tid < -1:
-            raise ValueError(f"cannot encode tid {e.tid}")
-        if e.target < 0:
-            raise ValueError(f"cannot encode negative target {e.target}")
+        if tid < -1:
+            raise ValueError(f"cannot encode tid {tid}")
+        if target < 0:
+            raise ValueError(f"cannot encode negative target {target}")
         # tids are >= 0 for thread actions; alloc's site may carry a
         # signed live-delta, zig-zag encode it
-        _write_varint(out, e.tid + 1)
-        _write_varint(out, e.target)
-        _write_varint(out, (e.site << 1) ^ (e.site >> 63))  # zig-zag
+        tid += 1
+        if tid < 0x80:
+            append(tid)
+        else:
+            write(out, tid)
+        if target < 0x80:
+            append(target)
+        else:
+            write(out, target)
+        site = (site << 1) ^ (site >> 63)  # zig-zag
+        if 0 <= site < 0x80:
+            append(site)
+        else:
+            write(out, site)
     if version >= 2:
-        out += zlib.crc32(bytes(out)).to_bytes(_CRC_BYTES, "little")
+        out += zlib.crc32(out).to_bytes(_CRC_BYTES, "little")
     return bytes(out)
 
 
@@ -183,24 +216,133 @@ def _parse_count(data: bytes) -> Tuple[int, int, int, int]:
     return version, count, pos, end
 
 
-def _decode_records(data: bytes, count: int, pos: int, end: int) -> List[Event]:
-    """The ``count`` event records in ``data[pos:end]``, which they must fill."""
-    events: List[Event] = []
+def _decode_columns(
+    data: bytes, count: int, pos: int, end: int
+) -> Tuple[Columns, int]:
+    """The ``count`` records from ``data[pos:end]``, and the offset one
+    past the last of them.
+
+    Varints of up to three bytes are read inline.  Longer ones, and every
+    field of the records that start in the last ``4 * _MAX_VARINT`` bytes,
+    go through :func:`_read_varint`, which owns the truncation and length
+    errors — so the checks, their order and their messages are exactly
+    those of reading each field with :func:`_read_varint`.
+    """
+    kinds: List[int] = []
+    tids: List[int] = []
+    targets: List[int] = []
+    sites: List[int] = []
+    add_kind, add_tid = kinds.append, tids.append
+    add_target, add_site = targets.append, sites.append
+    read = _read_varint
+    n_kinds, sbegin_id, send_id = _N_KINDS, _SBEGIN_ID, _SEND_ID
+    # a record is at most four varints of _MAX_VARINT bytes, so one that
+    # starts at or before ``safe`` cannot reach ``end``: the inline reads
+    # below need no bounds checks
+    safe = end - 4 * _MAX_VARINT
     for _ in range(count):
-        kind_id, pos = _read_varint(data, pos, end)
-        if kind_id >= _N_KINDS:
-            raise TraceFormatError(f"unknown kind id {kind_id} at byte {pos}")
-        if kind_id == _SBEGIN_ID or kind_id == _SEND_ID:
-            events.append(Event(ID_TO_KIND[kind_id], -1, 0, 0))
+        if pos > safe:
+            break
+        k = data[pos]
+        if k < 0x80:
+            pos += 1
+        else:
+            k, pos = read(data, pos, end)
+        if k >= n_kinds:
+            raise TraceFormatError(f"unknown kind id {k} at byte {pos}")
+        add_kind(k)
+        if k == sbegin_id or k == send_id:
+            add_tid(-1)
+            add_target(0)
+            add_site(0)
             continue
-        tid_plus, pos = _read_varint(data, pos, end)
-        target, pos = _read_varint(data, pos, end)
-        zigzag, pos = _read_varint(data, pos, end)
-        site = (zigzag >> 1) ^ -(zigzag & 1)
-        events.append(Event(ID_TO_KIND[kind_id], tid_plus - 1, target, site))
+        v = data[pos]
+        if v < 0x80:
+            pos += 1
+        else:
+            b = data[pos + 1]
+            if b < 0x80:
+                v = (v & 0x7F) | (b << 7)
+                pos += 2
+            else:
+                c = data[pos + 2]
+                if c < 0x80:
+                    v = (v & 0x7F) | ((b & 0x7F) << 7) | (c << 14)
+                    pos += 3
+                else:
+                    v, pos = read(data, pos, end)
+        add_tid(v - 1)
+        v = data[pos]
+        if v < 0x80:
+            pos += 1
+        else:
+            b = data[pos + 1]
+            if b < 0x80:
+                v = (v & 0x7F) | (b << 7)
+                pos += 2
+            else:
+                c = data[pos + 2]
+                if c < 0x80:
+                    v = (v & 0x7F) | ((b & 0x7F) << 7) | (c << 14)
+                    pos += 3
+                else:
+                    v, pos = read(data, pos, end)
+        add_target(v)
+        v = data[pos]
+        if v < 0x80:
+            pos += 1
+        else:
+            b = data[pos + 1]
+            if b < 0x80:
+                v = (v & 0x7F) | (b << 7)
+                pos += 2
+            else:
+                c = data[pos + 2]
+                if c < 0x80:
+                    v = (v & 0x7F) | ((b & 0x7F) << 7) | (c << 14)
+                    pos += 3
+                else:
+                    v, pos = read(data, pos, end)
+        add_site((v >> 1) ^ -(v & 1))  # zig-zag
+    for _ in range(count - len(kinds)):  # the records near ``end``
+        k, pos = read(data, pos, end)
+        if k >= n_kinds:
+            raise TraceFormatError(f"unknown kind id {k} at byte {pos}")
+        add_kind(k)
+        if k == sbegin_id or k == send_id:
+            add_tid(-1)
+            add_target(0)
+            add_site(0)
+            continue
+        v, pos = read(data, pos, end)
+        add_tid(v - 1)
+        v, pos = read(data, pos, end)
+        add_target(v)
+        v, pos = read(data, pos, end)
+        add_site((v >> 1) ^ -(v & 1))
+    return (kinds, tids, targets, sites), pos
+
+
+def _check_filled(pos: int, end: int) -> None:
+    """The records must end exactly where the payload does."""
     if pos != end:
         raise TraceFormatError(f"{end - pos} trailing bytes after events")
-    return events
+
+
+def _events(kinds, tids, targets, sites) -> List[Event]:
+    """Decoded columns as :class:`Event` records."""
+    return list(map(Event, map(ID_TO_KIND.__getitem__, kinds), tids, targets, sites))
+
+
+def _decode_document(data: bytes) -> Columns:
+    """A whole document's records, checked in the readers' order: header,
+    event count, records, exact fill, then (v2+) the CRC32 trailer."""
+    version, count, pos, end = _parse_count(data)
+    columns, pos = _decode_columns(data, count, pos, end)
+    _check_filled(pos, end)
+    if version >= 2:
+        _check_crc(data)
+    return columns
 
 
 def loads_binary(data: bytes, validate: bool = True) -> Trace:
@@ -208,10 +350,17 @@ def loads_binary(data: bytes, validate: bool = True) -> Trace:
 
     Raises :class:`TraceFormatError` on any structural problem and (when
     ``validate`` is on) :class:`~repro.trace.trace.TraceError` if the
-    decoded events are not a feasible trace.
+    decoded events are not a feasible trace.  Checks run in
+    :func:`_decode_document`'s order; the records are decoded a block at
+    a time.
     """
     version, count, pos, end = _parse_count(data)
-    events = _decode_records(data, count, pos, end)
+    events: List[Event] = []
+    for first in range(0, count, _EVENT_BLOCK):
+        columns, pos = _decode_columns(
+            data, min(_EVENT_BLOCK, count - first), pos, end)
+        events += _events(*columns)
+    _check_filled(pos, end)
     if version >= 2:
         _check_crc(data)
     trace = Trace(events)
@@ -226,7 +375,7 @@ def check_binary(data: bytes) -> int:
     Runs the checks that need no per-event work — magic, version, the
     event count against the payload size, and (v2+) the CRC32 trailer —
     and returns the declared event count.  The record structure is left
-    to :func:`decode_binary_events`.  Raises :class:`TraceFormatError`.
+    to :func:`decode_binary_columns`.  Raises :class:`TraceFormatError`.
     """
     version, count, _pos, _end = _parse_count(data)
     if version >= 2:
@@ -234,15 +383,24 @@ def check_binary(data: bytes) -> int:
     return count
 
 
-def decode_binary_events(data: bytes) -> List[Event]:
-    """Decode the events of a document :func:`check_binary` accepted.
+def decode_binary_columns(data: bytes) -> Columns:
+    """Decode the records of a document :func:`check_binary` accepted.
 
-    Checks the record structure (kind ids, varints, exact fill) but not
-    the CRC32 trailer, which ``check_binary`` already verified.  Raises
+    Returns ``(kinds, tids, targets, sites)`` lists, kinds as their
+    :data:`~repro.trace.events.KIND_TO_ID` ids.  Checks the record
+    structure (kind ids, varints, exact fill) but not the CRC32 trailer,
+    which ``check_binary`` already verified.  Raises
     :class:`TraceFormatError`.
     """
     _version, count, pos, end = _parse_count(data)
-    return _decode_records(data, count, pos, end)
+    columns, pos = _decode_columns(data, count, pos, end)
+    _check_filled(pos, end)
+    return columns
+
+
+def decode_binary_events(data: bytes) -> List[Event]:
+    """:func:`decode_binary_columns`, as :class:`Event` records."""
+    return _events(*decode_binary_columns(data))
 
 
 # -- columnar (zero-copy) reader ---------------------------------------------
@@ -258,17 +416,20 @@ def decode_binary_events(data: bytes) -> List[Event]:
 #
 # Correctness contract: on *any* anomaly — bad magic, truncated varint,
 # CRC mismatch, structural disagreement, oversized values — the column
-# reader delegates to :func:`loads_binary`, so corrupt input produces
-# byte-identical :class:`TraceFormatError` messages in the scalar
-# reader's checking order.  The fast path returns only when a fully
-# clean vectorized decode agrees with the format's sequential grammar.
+# reader delegates to the scalar record decoder, so corrupt input
+# produces byte-identical :class:`TraceFormatError` messages in
+# :func:`loads_binary`'s checking order.  The fast path returns only
+# when a fully clean vectorized decode agrees with the format's
+# sequential grammar.
 
 def _columns_fallback(data, validate: bool):
-    """Decode via the scalar reader (exact errors), then columnize."""
-    from .batch import encode_batch
+    """Decode with the scalar record decoder (exact errors) into a batch."""
+    from .batch import EventBatch
 
-    trace = loads_binary(bytes(data), validate=validate)
-    return encode_batch(trace.events)
+    columns = _decode_document(bytes(data))
+    if validate:
+        Trace(_events(*columns)).validate()
+    return EventBatch.from_columns(*columns)
 
 
 def loads_binary_columns(data, validate: bool = False):

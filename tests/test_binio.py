@@ -1,16 +1,26 @@
 """Binary trace format: round trips, compactness, corruption handling."""
 
-import pytest
+import zlib
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.trace import binio
 from repro.trace.binio import (
+    _check_crc,
+    _parse_count,
+    decode_binary_columns,
+    decode_binary_events,
     dump_trace_binary,
     dumps_binary,
     load_trace_binary,
     loads_binary,
 )
-from repro.trace.events import Event, rd, sbegin, send, wr
+from repro.trace.events import ID_TO_KIND, KIND_TO_ID, Event, rd, sbegin, send, wr
 from repro.trace.generator import random_trace
 from repro.trace.textio import dumps_trace
+from repro.trace.trace import TraceFormatError
 
 
 class TestRoundTrip:
@@ -329,3 +339,207 @@ class TestColumnReader:
             self._assert_same_decode(data)
 
         check()
+
+
+# -- the per-field codec, kept as the reference ------------------------------
+#
+# One _read_varint/_write_varint call per field: the codec before varints
+# were read and written inline.  The production codec must match it byte
+# for byte, value for value, and error message for error message.
+
+
+def ref_write_varint(out, value):
+    if value < 0:
+        raise ValueError(f"varint cannot encode negative value {value}")
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
+def ref_read_varint(data, pos, end):
+    result = 0
+    shift = 0
+    while True:
+        if pos >= end:
+            raise TraceFormatError(f"truncated varint at byte {pos}")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 63:
+            raise TraceFormatError(f"varint longer than 64 bits at byte {pos}")
+
+
+def ref_dumps_binary(events, version=2):
+    events = list(events)
+    out = bytearray(b"PACR")
+    out.append(version)
+    ref_write_varint(out, len(events))
+    for e in events:
+        kind_id = KIND_TO_ID.get(e.kind)
+        if kind_id is None:
+            raise ValueError(f"unknown event kind {e.kind!r}")
+        ref_write_varint(out, kind_id)
+        if e.kind in ("sbegin", "send"):
+            continue
+        if e.tid < -1:
+            raise ValueError(f"cannot encode tid {e.tid}")
+        if e.target < 0:
+            raise ValueError(f"cannot encode negative target {e.target}")
+        ref_write_varint(out, e.tid + 1)
+        ref_write_varint(out, e.target)
+        ref_write_varint(out, (e.site << 1) ^ (e.site >> 63))
+    if version >= 2:
+        out += zlib.crc32(bytes(out)).to_bytes(4, "little")
+    return bytes(out)
+
+
+def ref_decode_events(data):
+    """``decode_binary_events``, field by field (records, no CRC)."""
+    _version, count, pos, end = _parse_count(data)
+    events = []
+    for _ in range(count):
+        kind_id, pos = ref_read_varint(data, pos, end)
+        if kind_id >= len(ID_TO_KIND):
+            raise TraceFormatError(f"unknown kind id {kind_id} at byte {pos}")
+        kind = ID_TO_KIND[kind_id]
+        if kind in ("sbegin", "send"):
+            events.append(Event(kind, -1, 0, 0))
+            continue
+        tid_plus, pos = ref_read_varint(data, pos, end)
+        target, pos = ref_read_varint(data, pos, end)
+        zigzag, pos = ref_read_varint(data, pos, end)
+        site = (zigzag >> 1) ^ -(zigzag & 1)
+        events.append(Event(kind, tid_plus - 1, target, site))
+    if pos != end:
+        raise TraceFormatError(f"{end - pos} trailing bytes after events")
+    return events
+
+
+def ref_loads_events(data):
+    """``loads_binary(data, validate=False).events``, field by field."""
+    events = ref_decode_events(data)
+    if data[4] >= 2:
+        _check_crc(data)
+    return events
+
+
+def outcome(decode, data):
+    try:
+        return decode(data)
+    except TraceFormatError as exc:
+        return ("TraceFormatError", str(exc))
+
+
+def columns_of(events):
+    return (
+        [KIND_TO_ID[e.kind] for e in events],
+        [e.tid for e in events],
+        [e.target for e in events],
+        [e.site for e in events],
+    )
+
+
+def assert_decodes_like_reference(data):
+    expected = outcome(ref_decode_events, data)
+    assert outcome(decode_binary_events, data) == expected
+    columns = outcome(decode_binary_columns, data)
+    if isinstance(expected, list):
+        assert columns == columns_of(expected)
+    else:
+        assert columns == expected
+    expected = outcome(ref_loads_events, data)
+    # loads_binary decodes in blocks: small ones put block ends (and any
+    # error) at every record position
+    for block in (binio._EVENT_BLOCK, 1, 3):
+        with mock.patch.object(binio, "_EVENT_BLOCK", block):
+            got = outcome(lambda d: loads_binary(d, validate=False).events, data)
+        assert got == expected, block
+
+
+ACTION_KINDS = sorted(set(KIND_TO_ID) - {"sbegin", "send"})
+
+#: multi-byte tids, targets whose varints run to 4+ bytes (>= 2**21),
+#: and negative and very large sites (zig-zag past 64 bits included)
+wide_events = st.lists(
+    st.one_of(
+        st.builds(
+            Event,
+            st.sampled_from(ACTION_KINDS),
+            st.one_of(st.integers(-1, 200), st.integers(0, 2**40)),
+            st.one_of(st.integers(0, 200), st.integers(2**21, 2**64)),
+            st.one_of(st.integers(-300, 300), st.integers(-(2**70), 2**70)),
+        ),
+        st.just(sbegin()),
+        st.just(send()),
+    ),
+    max_size=40,
+)
+
+
+class TestReferenceCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(wide_events, st.sampled_from([1, 2]))
+    def test_encoder_matches_reference(self, events, version):
+        expected = ref_dumps_binary(events, version)
+        assert dumps_binary(events, version) == expected
+        assert dumps_binary(tuple(events), version) == expected
+        assert dumps_binary(iter(events), version) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        wide_events,
+        st.sampled_from([
+            Event("zap", 0, 0, 0),
+            Event("rd", -2, 0, 0),
+            Event("wr", 0, -1, 0),
+            Event("alloc", -5, -5, 0),
+        ]),
+        st.data(),
+    )
+    def test_encoder_rejects_like_reference(self, events, bad, data):
+        at = data.draw(st.integers(0, len(events)))
+        events = events[:at] + [bad] + events[at:]
+        with pytest.raises(ValueError) as expected:
+            ref_dumps_binary(events)
+        with pytest.raises(ValueError) as got:
+            dumps_binary(events)
+        assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        wide_events,
+        st.sampled_from([1, 2]),
+        st.sampled_from(["clean", "flip", "tear", "flip+crc"]),
+        st.data(),
+    )
+    def test_decoders_match_reference(self, events, version, damage, data):
+        doc = ref_dumps_binary(events, version)
+        if damage in ("flip", "flip+crc"):
+            i = data.draw(st.integers(5, len(doc) - 1))
+            doc = doc[:i] + bytes([doc[i] ^ data.draw(st.integers(1, 255))]) + doc[i + 1:]
+            if damage == "flip+crc" and version == 2:
+                # a valid trailer, so only the records can object
+                doc = doc[:-4] + zlib.crc32(doc[:-4]).to_bytes(4, "little")
+        elif damage == "tear":
+            doc = doc[:data.draw(st.integers(0, len(doc)))]
+        assert_decodes_like_reference(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=400), st.sampled_from([1, 2]), st.data())
+    def test_decoders_match_reference_on_arbitrary_records(self, body, version, data):
+        count = data.draw(st.integers(0, len(body)))
+        head = bytearray(b"PACR")
+        head.append(version)
+        ref_write_varint(head, count)
+        doc = bytes(head) + body
+        if version == 2:
+            doc += zlib.crc32(doc).to_bytes(4, "little")
+        assert_decodes_like_reference(doc)

@@ -38,12 +38,12 @@ TRACE = random_trace(
 EVENTS = list(TRACE.events)
 
 
-def offline_report(detector_name: str, backend: str):
+def offline_report(detector_name: str, backend: str, events=EVENTS):
     """The ``repro analyze --report-out`` pipeline, inline."""
     det = DETECTORS[detector_name](backend=backend)
     obs = RunObserver(recorder=FlightRecorder(window=DEFAULT_WINDOW))
     obs.attach(det)
-    det.run(EVENTS)
+    det.run(events)
     obs.finalize(det)
     doc = build_report(
         det.races,
@@ -53,13 +53,13 @@ def offline_report(detector_name: str, backend: str):
         rate=None,
         events=det.perf.events,
         contexts=obs.race_contexts,
-        sync=SyncIndex.from_trace(TRACE),
+        sync=SyncIndex.from_trace(events),
         site_name=None,
     )
     return doc, det.counters.snapshot(), obs.registry.snapshot()
 
 
-def streamed_report(detector_name: str, backend: str, **kwargs):
+def streamed_report(detector_name: str, backend: str, events=EVENTS, **kwargs):
     """The same events pushed through a server session."""
     chunk_size = kwargs.pop("chunk_size", 37)  # odd: never batch-aligned
     config = ServerConfig(n_shards=2, **kwargs)
@@ -72,7 +72,7 @@ def streamed_report(detector_name: str, backend: str, **kwargs):
             chunk_size=chunk_size,
         )
         client.connect()
-        client.send_events(EVENTS)
+        client.send_events(events)
         summary = client.close()
         doc = server.session_doc("parity")
     return doc, summary
@@ -185,11 +185,29 @@ def test_multi_session_merge_is_deterministic():
     assert not validate_report(merged0)
 
 
-def test_metrics_match_offline_totals():
-    """The per-session metrics snapshot carries the offline totals."""
-    _, _, off_metrics = offline_report("fasttrack", "object")
-    sdoc, _ = streamed_report("fasttrack", "object", shard_mode="inline")
-    streamed = sdoc["metrics"]
-    for key in ("counters", "gauges"):
-        for name, value in off_metrics[key].items():
-            assert streamed[key][name] == value, name
+@pytest.fixture(scope="module")
+def long_events():
+    """~50k events: past several probe periods (``sample_every`` 4096)."""
+    trace = random_trace(
+        GeneratorConfig(length=20000, sampling_period_prob=0.05, seed=3)
+    )
+    return list(trace.events)
+
+
+def test_metrics_match_offline_totals(long_events):
+    """The per-session metrics snapshot carries the offline totals —
+    gauge ``high`` peaks too, which depend on where probes fall, so the
+    chunk size must not move them."""
+    for detector_name in DETECTOR_NAMES:
+        for backend in BACKENDS:
+            _, _, off_metrics = offline_report(detector_name, backend, long_events)
+            for chunk_size in (37, 512, 5000):
+                sdoc, _ = streamed_report(
+                    detector_name, backend, long_events,
+                    shard_mode="inline", chunk_size=chunk_size,
+                )
+                streamed = sdoc["metrics"]
+                for key in ("counters", "gauges"):
+                    for name, value in off_metrics[key].items():
+                        assert streamed[key][name] == value, (
+                            detector_name, backend, chunk_size, name)

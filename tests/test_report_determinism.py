@@ -48,6 +48,15 @@ class TestDispatchAxis:
         assert scalar == batched
         assert json.loads(scalar)["dynamic_races"] > 0
 
+    def test_binary_column_reader_byte_equal(self, recorded, tmp_path):
+        """``--batch`` on a binary trace reads columns (mmap) and indexes
+        them for the witnesses: still the scalar run's bytes."""
+        binary = tmp_path / "trace.pacr"
+        assert main(["convert", str(recorded), str(binary), "--format", "binary"]) == 0
+        scalar = analyze_report(binary, tmp_path / "scalar.json")
+        columns = analyze_report(binary, tmp_path / "columns.json", "--batch")
+        assert scalar == columns
+
 
 class TestBackendAxis:
     def test_object_vs_packed_byte_equal_modulo_label(self, recorded, tmp_path):
