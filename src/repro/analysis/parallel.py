@@ -225,12 +225,6 @@ def trial_metrics(runtime: Runtime, detector: Detector) -> Dict[str, int]:
     }
 
 
-def _run_shard(shard: List[Tuple[int, TrialTask]]) -> List[Tuple[int, CoreStats]]:
-    """Run one indexed shard in-process (kept for API compatibility;
-    the supervisor now dispatches trials individually)."""
-    return [(index, run_trial_task(task)) for index, task in shard]
-
-
 def default_jobs() -> int:
     """Job count from ``REPRO_JOBS`` (default 1: sequential, no pool).
 
@@ -274,11 +268,7 @@ def require_complete(
         raise RuntimeError(f"matrix dropped {len(dropped)} task(s): {names}")
 
 
-def run_matrix(
-    tasks: Sequence[TrialTask],
-    jobs: int = 1,
-    shards_per_job: int = 4,
-) -> List[CoreStats]:
+def run_matrix(tasks: Sequence[TrialTask], jobs: int = 1) -> List[CoreStats]:
     """Run the matrix, optionally fanned across supervised workers.
 
     With ``jobs > 1`` trials run under the crash-isolated supervisor
@@ -289,11 +279,8 @@ def run_matrix(
     dropped (workload, detector, rate, seed) — never a silent gap.
     Results are sewn back in task-index order, so the returned list is
     identical for any ``jobs`` value and any retry/completion schedule,
-    which the determinism tests assert.  ``shards_per_job`` is accepted
-    for backward compatibility; the supervisor schedules per trial, so
-    shard geometry no longer exists to matter.
+    which the determinism tests assert.
     """
-    del shards_per_job  # superseded by per-trial supervision
     if jobs <= 1 or len(tasks) <= 1:
         results: List[CoreStats] = [run_trial_task(task) for task in tasks]
         return results

@@ -47,15 +47,12 @@ Commands:
   proportional estimate of the true race count
   (``repro/coverage-report/v1``).
 
-``analyze`` and ``matrix`` accept ``--json`` for machine-readable output
-(races + counters + metrics), and ``analyze``/``detect``/``matrix`` all
-take ``--metrics-out``/``--trace-out`` (plus ``--timeline-out`` where a
-single run produces a timeline), ``--report-out`` for the structured
-race report (``repro/race-report/v1``; shard-merged deterministically on
-``matrix``), and ``--coverage-out`` for the detection-quality coverage
-report (``repro/coverage-report/v1``; on ``matrix`` it carries the
-rate-vs-detection curve and the proportionality audit).  Trace file formats are auto-detected (binary traces start
-with the ``PACR`` magic); ``--format`` forces one.
+A flag that means the same thing on several commands is declared once,
+in :data:`_FLAGS`, and every run artifact (``--report-out``,
+``--metrics-out``, ...) is written by :func:`_write_artifacts`; the
+README tabulates which command takes which.  Trace file formats are
+auto-detected (binary traces start with the ``PACR`` magic); ``--format``
+forces one.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .analysis.checkpoint import CheckpointError, CheckpointJournal
 from .analysis.parallel import (
@@ -85,7 +82,6 @@ from .analysis.supervisor import (
 )
 from .analysis.tables import render_table
 from .core.backend import BACKENDS, DEFAULT_BACKEND
-from .core.pacer import PacerDetector
 from .core.sampling import BiasCorrectedController
 from .obs import (
     FlightRecorder,
@@ -101,17 +97,10 @@ from .obs import (
     write_coverage,
     write_report,
 )
+from .obs.metrics import MetricsRegistry
 from .obs.observer import DEFAULT_SAMPLE_EVERY
 from .obs.provenance import DEFAULT_WINDOW
-from .detectors import (
-    Detector,
-    DjitPlusDetector,
-    EraserDetector,
-    FastTrackDetector,
-    GenericDetector,
-    GoldilocksDetector,
-    LiteRaceDetector,
-)
+from .detectors import Detector
 from .sim.runtime import Runtime, RuntimeConfig
 from .sim.scheduler import run_program
 from .sim.workloads import WORKLOADS, build_program, describe_site
@@ -130,22 +119,31 @@ from .util.faults import FAULT_PLAN_ENV, FaultPlan, FaultPlanError
 
 __all__ = ["main", "DETECTORS"]
 
+#: the detectors a command can name: every matrix factory but the
+#: no-op ``none`` baseline
 DETECTORS: Dict[str, Callable[..., Detector]] = {
-    "pacer": PacerDetector,
-    "fasttrack": FastTrackDetector,
-    "generic": GenericDetector,
-    "djit": DjitPlusDetector,
-    "goldilocks": GoldilocksDetector,
-    "literace": LiteRaceDetector,
-    "eraser": EraserDetector,
+    name: factory
+    for name, factory in DETECTOR_FACTORIES.items()
+    if name != "none"
 }
 
 
-def _load(path: Path, fmt: str) -> Trace:
+class _UsageError(Exception):
+    """A bad flag combination: :func:`main` prints it and exits 2."""
+
+
+def _load(path: Path, fmt: str, columns: bool = False):
+    """Read a trace file; ``fmt="auto"`` sniffs the first four bytes.
+
+    ``columns=True`` maps a binary trace straight into an
+    :class:`~repro.trace.batch.EventBatch` (zero-copy mmap decode)
+    instead of building a :class:`Trace`.
+    """
     if fmt == "auto":
-        fmt = "binary" if path.read_bytes()[:4] == MAGIC else "text"
+        with open(path, "rb") as fh:
+            fmt = "binary" if fh.read(4) == MAGIC else "text"
     if fmt == "binary":
-        return load_trace_binary(path)
+        return load_trace_columns(path) if columns else load_trace_binary(path)
     return load_trace(path)
 
 
@@ -156,6 +154,77 @@ def _dump(trace, path: Path, fmt: str) -> None:
         dump_trace_binary(trace, path)
     else:
         dump_trace(trace, path)
+
+
+def _record(workload: str, args) -> Trace:
+    """Run ``workload`` at ``--scale`` with ``--seed`` into a trace."""
+    spec = WORKLOADS[workload].scaled(args.scale)
+    return run_program(build_program(spec, args.seed), seed=args.seed)
+
+
+def _resolve_trace(args) -> Tuple[Optional[Path], Optional[str]]:
+    """The ``trace`` argument of ``explain``/``coverage``: a trace file
+    ``(path, None)`` or a workload name ``(None, workload)``."""
+    path = Path(args.trace)
+    if path.exists():
+        return path, None
+    if args.trace in WORKLOADS:
+        return None, args.trace
+    raise _UsageError(
+        f"{args.trace!r} is neither a trace file nor a workload "
+        f"(choices: {', '.join(sorted(WORKLOADS))})"
+    )
+
+
+def _live_run(
+    args,
+    workload: str,
+    detector: Detector,
+    observer: Optional[RunObserver],
+    default_rate: Optional[float] = None,
+    track_memory: bool = False,
+) -> Tuple[Runtime, Optional[float]]:
+    """Run ``workload`` live under ``detector`` (``detect``, ``profile``,
+    ``coverage``).
+
+    PACER samples at ``--rate`` percent, else at ``default_rate`` (None:
+    no sampling controller); ``--rate`` with another detector is a usage
+    error.  Returns the finished runtime and the nominal rate as a
+    fraction (None without a controller).
+    """
+    rate = args.rate
+    if args.detector != "pacer":
+        if rate is not None:
+            raise _UsageError("--rate only applies to the pacer detector")
+    elif rate is None:
+        rate = default_rate
+    controller = None
+    if rate is not None:
+        controller = BiasCorrectedController(
+            rate / 100.0, rng=random.Random(args.seed)
+        )
+    runtime = Runtime(
+        build_program(WORKLOADS[workload].scaled(args.scale), args.seed),
+        detector,
+        controller=controller,
+        config=RuntimeConfig(track_memory=track_memory),
+        seed=args.seed,
+        observer=observer,
+    )
+    runtime.run()
+    return runtime, None if controller is None else controller.rate
+
+
+def _read_fault_plan(args, parse: Callable):
+    """``--fault-plan`` (default ``$REPRO_FAULT_PLAN``) through ``parse``,
+    or None when both are empty."""
+    text = args.fault_plan or os.environ.get(FAULT_PLAN_ENV, "")
+    if not text.strip():
+        return None
+    try:
+        return parse(text)
+    except FaultPlanError as exc:
+        raise _UsageError(f"bad fault plan: {exc}") from None
 
 
 def _print_races(detector: Detector, limit: int) -> None:
@@ -173,164 +242,127 @@ def _print_races(detector: Detector, limit: int) -> None:
         print(f"... and {len(detector.races) - limit} more (raise --limit)")
 
 
-# -- observability plumbing ---------------------------------------------------
+# -- run artifacts -------------------------------------------------------------
+
+#: artifact flag dest -> what the "wrote ..." line calls the file
+_ARTIFACTS = {
+    "report_out": "race report",
+    "coverage_out": "coverage report",
+    "out": "coverage report",  # ``coverage --out``
+    "metrics_out": "metrics snapshot",
+    "timeline_out": "probe timeline",
+    "trace_out": "Perfetto trace",
+    "markdown_out": "Markdown report",
+    "quarantine_out": "quarantine report",
+    "status_out": "status document",
+}
 
 
-def _wants_observer(args) -> bool:
-    return bool(
-        getattr(args, "json", False)
-        or getattr(args, "metrics_out", None)
-        or getattr(args, "timeline_out", None)
-        or getattr(args, "trace_out", None)
-        or getattr(args, "report_out", None)
-        or getattr(args, "coverage_out", None)
-    )
+def _write_json(doc, path=None, indent: Optional[int] = 2) -> None:
+    """``doc`` as sorted-key JSON plus a newline: into ``path``, or
+    printed when no path is given."""
+    text = json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_artifacts(args, quiet: bool = False, **writers: Callable) -> None:
+    """Write every run artifact the command line asked for.
+
+    ``writers`` maps an artifact flag's dest (``report_out``, ...) to a
+    function that writes that artifact to a path.  A writer runs only
+    when its flag is set, so nothing is built for an unrequested
+    artifact; each written file is announced unless ``quiet``.
+    """
+    for dest, write in writers.items():
+        path = getattr(args, dest)
+        if path:
+            write(Path(path))
+            if not quiet:
+                print(f"wrote {_ARTIFACTS[dest]} to {path}")
 
 
 def _make_observer(args) -> Optional[RunObserver]:
-    """An observer when any observability output was requested, else None
-    (the disabled path: detectors see a single untaken branch).  A race
-    report sink additionally attaches a flight recorder, which opts the
-    run into per-event context capture."""
-    if not _wants_observer(args):
+    """An observer when ``--json`` or any artifact was requested, else
+    None (the disabled path: detectors see a single untaken branch).  A
+    race report sink additionally attaches a flight recorder, which opts
+    the run into per-event context capture."""
+    if not (
+        getattr(args, "json", False)
+        or args.metrics_out or args.timeline_out or args.trace_out
+        or args.report_out or args.coverage_out
+    ):
         return None
-    recorder = None
-    if getattr(args, "report_out", None):
-        recorder = FlightRecorder(window=getattr(args, "window", DEFAULT_WINDOW))
     return RunObserver(
-        sample_every=getattr(args, "sample_every", None) or DEFAULT_SAMPLE_EVERY,
-        recorder=recorder,
+        sample_every=args.sample_every or DEFAULT_SAMPLE_EVERY,
+        recorder=FlightRecorder() if args.report_out else None,
     )
 
 
-def _write_report_output(
+def _write_run_artifacts(
+    args,
     obs: Optional[RunObserver],
     detector: Detector,
-    args,
-    source: str,
-    events: int,
-    rate: Optional[float] = None,
-    sync: Optional[SyncIndex] = None,
-    site_name=None,
-    quiet: bool = False,
-) -> None:
-    """Build and write the structured race report when requested."""
-    if not getattr(args, "report_out", None) or obs is None:
-        return
-    if sync is None and obs.recorder is not None:
-        sync = SyncIndex.from_recorder(obs.recorder)
-    doc = build_report(
-        detector.races,
-        source=source,
-        detector=detector.name,
-        backend=detector.backend_name,
-        rate=rate,
-        events=events,
-        contexts=obs.race_contexts,
-        sync=sync,
-        site_name=site_name,
-    )
-    write_report(Path(args.report_out), doc)
-    if not quiet:
-        print(f"wrote race report to {args.report_out}")
-
-
-def _write_coverage_output(
-    obs: Optional[RunObserver],
-    detector: Detector,
-    args,
     source: str,
     events: int,
     rate: Optional[float] = None,
     workload: Optional[str] = None,
+    site_name=None,
+    trace=None,
     quiet: bool = False,
 ) -> None:
-    """Build and write the detection-quality coverage report when requested.
+    """The artifacts of one observed detector run (``analyze``,
+    ``detect``, ``profile``).
 
-    The document deliberately omits the state backend, so the same run is
-    byte-identical across ``--state-backend`` choices (the quality suite
-    pins this).
+    Race-report witnesses come from the exact sync index of ``trace``
+    when the whole trace is in memory, else from the flight recorder's
+    bounded window.  The coverage document deliberately omits the state
+    backend, so the same run is byte-identical across
+    ``--state-backend`` choices (the quality suite pins this).
     """
-    if not getattr(args, "coverage_out", None):
-        return
-    doc = build_coverage(
-        source=source,
-        detector=detector.name,
-        workload=workload,
-        nominal_rate=rate,
-        counters=detector.counters.snapshot(),
-        marks=obs.sampling_marks if obs is not None else (),
-        races=detector.races,
-        events=events,
-    )
-    write_coverage(Path(args.coverage_out), doc)
-    if not quiet:
-        print(f"wrote coverage report to {args.coverage_out}")
-
-
-def _write_obs_outputs(obs: Optional[RunObserver], args, quiet: bool = False) -> None:
     if obs is None:
         return
-    if getattr(args, "metrics_out", None):
-        obs.write_metrics(Path(args.metrics_out))
-        if not quiet:
-            print(f"wrote metrics snapshot to {args.metrics_out}")
-    if getattr(args, "timeline_out", None):
-        obs.write_timeline(Path(args.timeline_out))
-        if not quiet:
-            print(f"wrote probe timeline to {args.timeline_out}")
-    if getattr(args, "trace_out", None):
-        obs.write_trace(Path(args.trace_out))
-        if not quiet:
-            print(
-                f"wrote Perfetto trace to {args.trace_out} "
-                f"(open in ui.perfetto.dev)"
-            )
 
+    def report(path: Path) -> None:
+        if trace is not None:
+            sync = SyncIndex.from_trace(trace)
+        elif obs.recorder is not None:
+            sync = SyncIndex.from_recorder(obs.recorder)
+        else:
+            sync = None
+        write_report(path, build_report(
+            detector.races,
+            source=source,
+            detector=detector.name,
+            backend=detector.backend_name,
+            rate=rate,
+            events=events,
+            contexts=obs.race_contexts,
+            sync=sync,
+            site_name=site_name,
+        ))
 
-def _add_obs_arguments(
-    p,
-    metrics_default: Optional[str] = None,
-    timeline_default: Optional[str] = None,
-    trace_default: Optional[str] = None,
-) -> None:
-    """Attach the shared observability flags to a subparser."""
-    p.add_argument(
-        "--metrics-out", default=metrics_default, metavar="PATH",
-        help="write a deterministic metrics snapshot as JSON",
-    )
-    p.add_argument(
-        "--timeline-out", default=timeline_default, metavar="PATH",
-        help="write the virtual-time probe timeline as JSONL",
-    )
-    p.add_argument(
-        "--trace-out", default=trace_default, metavar="PATH",
-        help="write a Chrome-trace/Perfetto profile (load in ui.perfetto.dev)",
-    )
-    p.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="write a structured race report (repro/race-report/v1 JSON); "
-        "attaches a flight recorder for per-race context capture",
-    )
-    p.add_argument(
-        "--coverage-out", default=None, metavar="PATH",
-        help="write the detection-quality coverage report "
-        "(repro/coverage-report/v1 JSON): effective sampling rate, "
-        "race attribution, and estimated true race count",
-    )
-    p.add_argument(
-        "--sample-every", type=int, default=DEFAULT_SAMPLE_EVERY, metavar="N",
-        help="virtual-time distance between detector-state probes "
-        f"(default {DEFAULT_SAMPLE_EVERY})",
-    )
+    def coverage(path: Path) -> None:
+        write_coverage(path, build_coverage(
+            source=source,
+            detector=detector.name,
+            workload=workload,
+            nominal_rate=rate,
+            counters=detector.counters.snapshot(),
+            marks=obs.sampling_marks,
+            races=detector.races,
+            events=events,
+        ))
 
-
-def _add_backend_argument(p) -> None:
-    p.add_argument(
-        "--state-backend", choices=BACKENDS, default=None,
-        help="detector state representation "
-        f"(default: $REPRO_STATE_BACKEND or '{DEFAULT_BACKEND}'); "
-        "both backends report identical races",
+    _write_artifacts(
+        args, quiet=quiet,
+        report_out=report,
+        coverage_out=coverage,
+        metrics_out=obs.write_metrics,
+        timeline_out=obs.write_timeline,
+        trace_out=obs.write_trace,
     )
 
 
@@ -359,10 +391,6 @@ def _perf_dict(perf) -> Dict:
     }
 
 
-def _print_json(doc: Dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -381,50 +409,26 @@ def cmd_workloads(_args) -> int:
 
 
 def cmd_record(args) -> int:
-    spec = WORKLOADS[args.workload].scaled(args.scale)
-    trace = run_program(build_program(spec, args.seed), seed=args.seed)
+    trace = _record(args.workload, args)
     _dump(trace, Path(args.output), args.format)
     print(f"wrote {len(trace)} events to {args.output}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    path = Path(args.trace)
-    fmt = args.format
-    if fmt == "auto":
-        fmt = "binary" if path.read_bytes()[:4] == MAGIC else "text"
-    trace = None
-    columns = None
-    if args.batch and fmt == "binary":
-        # zero-copy fast path: mmap the file and decode the wire format
-        # straight into EventBatch columns
-        columns = load_trace_columns(path)
-    else:
-        trace = _load(path, fmt)
+    trace = _load(Path(args.trace), args.format, columns=args.batch)
     detector = DETECTORS[args.detector](backend=args.state_backend)
     obs = _make_observer(args)
     if obs is not None:
         obs.attach(detector)
     if args.batch:
-        detector.run_batch(columns if columns is not None else trace,
-                           batch_size=args.batch_size)
+        detector.run_batch(trace, batch_size=args.batch_size)
     else:
         detector.run(trace)
     if obs is not None:
         obs.finalize(detector)
-    # the whole trace is in memory, so witnesses come from the exact sync
-    # index rather than the bounded flight-recorder window
-    _write_report_output(
-        obs, detector, args, "analyze", detector.perf.events,
-        sync=(SyncIndex.from_trace(columns if columns is not None else trace)
-              if args.report_out else None),
-        quiet=args.json,
-    )
-    _write_coverage_output(
-        obs, detector, args, "analyze", detector.perf.events, quiet=args.json
-    )
     if args.json:
-        _print_json(
+        _write_json(
             {
                 "command": "analyze",
                 "trace": args.trace,
@@ -433,15 +437,17 @@ def cmd_analyze(args) -> int:
                 "races": [_race_dict(r) for r in detector.races],
                 "distinct_races": sorted(detector.distinct_races),
                 "counters": detector.counters.snapshot(),
-                "metrics": obs.registry.snapshot() if obs is not None else None,
+                "metrics": obs.registry.snapshot(),
                 "perf": _perf_dict(detector.perf),
             }
         )
-        _write_obs_outputs(obs, args, quiet=True)
     else:
         print(f"perf: {detector.perf.summary()}")
         _print_races(detector, args.limit)
-        _write_obs_outputs(obs, args)
+    _write_run_artifacts(
+        args, obs, detector, "analyze", detector.perf.events,
+        trace=trace, quiet=args.json,
+    )
     return 1 if detector.races and args.fail_on_race else 0
 
 
@@ -464,66 +470,27 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    spec = WORKLOADS[args.workload].scaled(args.scale)
     detector = DETECTORS[args.detector](backend=args.state_backend)
-    controller = None
-    if args.rate is not None:
-        if args.detector != "pacer":
-            print("--rate only applies to the pacer detector", file=sys.stderr)
-            return 2
-        controller = BiasCorrectedController(
-            args.rate / 100.0, rng=random.Random(args.seed)
-        )
     obs = _make_observer(args)
-    runtime = Runtime(
-        build_program(spec, args.seed),
-        detector,
-        controller=controller,
-        config=RuntimeConfig(track_memory=False),
-        seed=args.seed,
-        observer=obs,
-    )
-    runtime.run()
-    if controller is not None:
+    runtime, rate = _live_run(args, args.workload, detector, obs)
+    if rate is not None:
         print(f"effective sampling rate: {runtime.effective_sampling_rate:.2%}")
     _print_races(detector, args.limit)
-    _write_obs_outputs(obs, args)
-    _write_report_output(
-        obs, detector, args, "detect", runtime.events,
-        rate=None if args.rate is None else args.rate / 100.0,
-        site_name=describe_site,
-    )
-    _write_coverage_output(
-        obs, detector, args, "detect", runtime.events,
-        rate=None if args.rate is None else args.rate / 100.0,
-        workload=args.workload,
+    _write_run_artifacts(
+        args, obs, detector, "detect", runtime.events, rate=rate,
+        workload=args.workload, site_name=describe_site,
     )
     return 0
 
 
 def cmd_profile(args) -> int:
     """Run a workload live with full observability and write all sinks."""
-    spec = WORKLOADS[args.workload].scaled(args.scale)
     detector = DETECTORS[args.detector](backend=args.state_backend)
-    controller = None
-    if args.detector == "pacer":
-        rate = 10.0 if args.rate is None else args.rate
-        controller = BiasCorrectedController(
-            rate / 100.0, rng=random.Random(args.seed)
-        )
-    elif args.rate is not None:
-        print("--rate only applies to the pacer detector", file=sys.stderr)
-        return 2
     obs = RunObserver(sample_every=args.sample_every)
-    runtime = Runtime(
-        build_program(spec, args.seed),
-        detector,
-        controller=controller,
-        config=RuntimeConfig(),
-        seed=args.seed,
-        observer=obs,
+    runtime, rate = _live_run(
+        args, args.workload, detector, obs, default_rate=10.0,
+        track_memory=True,
     )
-    runtime.run()
     periods = obs.sampling_periods()
     sampled_vt = sum(end - begin for begin, end in periods)
     print(
@@ -531,7 +498,7 @@ def cmd_profile(args) -> int:
         f"{len(detector.races)} race reports "
         f"({len(detector.distinct_races)} distinct)"
     )
-    if controller is not None:
+    if rate is not None:
         print(
             f"sampling: {len(periods)} periods covering {sampled_vt} of "
             f"{runtime.events} events "
@@ -542,16 +509,9 @@ def cmd_profile(args) -> int:
         f"{len(runtime.gc_log)} GC boundaries, "
         f"{runtime.context_switches} context switches"
     )
-    _write_obs_outputs(obs, args)
-    _write_report_output(
-        obs, detector, args, "profile", runtime.events,
-        rate=None if controller is None else controller.rate,
-        site_name=describe_site,
-    )
-    _write_coverage_output(
-        obs, detector, args, "profile", runtime.events,
-        rate=None if controller is None else controller.rate,
-        workload=args.workload,
+    _write_run_artifacts(
+        args, obs, detector, "profile", runtime.events, rate=rate,
+        workload=args.workload, site_name=describe_site,
     )
     return 0
 
@@ -586,20 +546,11 @@ def cmd_matrix(args) -> int:
         scale=args.scale,
         backend=args.state_backend,
     )
-
-    fault_plan = None
-    fault_text = args.fault_plan or os.environ.get(FAULT_PLAN_ENV, "")
-    if fault_text.strip():
-        try:
-            fault_plan = FaultPlan.parse(fault_text)
-        except FaultPlanError as exc:
-            print(f"bad fault plan: {exc}", file=sys.stderr)
-            return 2
+    fault_plan = _read_fault_plan(args, FaultPlan.parse)
 
     journal = completed = None
     if args.resume and not args.checkpoint:
-        print("--resume requires --checkpoint PATH", file=sys.stderr)
-        return 2
+        raise _UsageError("--resume requires --checkpoint PATH")
     if args.checkpoint:
         path = Path(args.checkpoint)
         try:
@@ -614,8 +565,7 @@ def cmd_matrix(args) -> int:
             else:
                 journal = CheckpointJournal.create(path, tasks)
         except CheckpointError as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"checkpoint error: {exc}") from None
 
     quarantine_doc = None
     supervised = args.jobs > 1 or fault_plan is not None or journal is not None
@@ -645,42 +595,26 @@ def cmd_matrix(args) -> int:
     live_results = [stats for _, stats in pairs]
     merged = merge_matrix(live_tasks, live_results)
 
-    if args.quarantine_out:
-        doc = quarantine_doc or {
+    _write_artifacts(
+        args, quiet=args.json,
+        quarantine_out=lambda path: _write_json(quarantine_doc or {
             "schema": "repro/quarantine/v1",
             "total_tasks": len(tasks),
             "completed": len(pairs),
             "quarantined": [],
             "counters": {},
-        }
-        with open(args.quarantine_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if not args.json:
-            print(f"wrote quarantine report to {args.quarantine_out}")
-    if args.metrics_out:
-        _write_matrix_metrics(Path(args.metrics_out), merged)
-        if not args.json:
-            print(f"wrote merged metrics snapshot to {args.metrics_out}")
-    if args.report_out:
-        write_report(Path(args.report_out), matrix_report(live_tasks, live_results))
-        if not args.json:
-            print(f"wrote merged race report to {args.report_out}")
-    if args.coverage_out:
-        write_coverage(
-            Path(args.coverage_out), matrix_coverage(live_tasks, live_results)
-        )
-        if not args.json:
-            print(f"wrote matrix coverage report to {args.coverage_out}")
-    if args.trace_out:
-        write_chrome_trace(
-            Path(args.trace_out), matrix_trace_events(pairs)
-        )
-        if not args.json:
-            print(
-                f"wrote matrix coverage trace to {args.trace_out} "
-                f"(open in ui.perfetto.dev)"
-            )
+        }, path),
+        metrics_out=lambda path: _write_matrix_metrics(path, merged),
+        report_out=lambda path: write_report(
+            path, matrix_report(live_tasks, live_results)
+        ),
+        coverage_out=lambda path: write_coverage(
+            path, matrix_coverage(live_tasks, live_results)
+        ),
+        trace_out=lambda path: write_chrome_trace(
+            path, matrix_trace_events(pairs)
+        ),
+    )
     if args.json:
         cells = []
         for (workload, detector, rate), stats in sorted(merged.items(), key=str):
@@ -698,7 +632,7 @@ def cmd_matrix(args) -> int:
                     "perf": _perf_dict(stats.perf),
                 }
             )
-        _print_json(
+        _write_json(
             {
                 "command": "matrix",
                 "trials": len(tasks),
@@ -759,10 +693,7 @@ def _write_matrix_metrics(path: Path, merged) -> None:
             "counters": stats.counters,
             "metrics": stats.metrics,
         }
-    doc = {"command": "matrix", "cells": cells}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json({"command": "matrix", "cells": cells}, path)
 
 
 def _pacer_discard_attribution(trace, detector, sync: SyncIndex, cap: int = 50) -> List[Dict]:
@@ -812,21 +743,8 @@ def _pacer_discard_attribution(trace, detector, sync: SyncIndex, cap: int = 50) 
 
 def cmd_explain(args) -> int:
     """Replay a trace (or a seeded workload) and explain each race."""
-    path = Path(args.trace)
-    site_resolver = None
-    if path.exists():
-        trace = _load(path, args.format)
-    elif args.trace in WORKLOADS:
-        spec = WORKLOADS[args.trace].scaled(args.scale)
-        trace = run_program(build_program(spec, args.seed), seed=args.seed)
-        site_resolver = describe_site
-    else:
-        print(
-            f"{args.trace!r} is neither a trace file nor a workload "
-            f"(choices: {', '.join(sorted(WORKLOADS))})",
-            file=sys.stderr,
-        )
-        return 2
+    path, workload = _resolve_trace(args)
+    trace = _load(path, args.format) if workload is None else _record(workload, args)
     detector = DETECTORS[args.detector](backend=args.state_backend)
     recorder = FlightRecorder(window=args.window)
     obs = RunObserver(
@@ -848,18 +766,19 @@ def cmd_explain(args) -> int:
         events=len(trace),
         contexts=obs.race_contexts,
         sync=sync,
-        site_name=site_resolver,
+        site_name=None if workload is None else describe_site,
         discarded=discarded,
     )
-    if args.report_out:
-        write_report(Path(args.report_out), doc)
-    if args.markdown_out:
-        with open(args.markdown_out, "w", encoding="utf-8") as fh:
-            fh.write(render_report_markdown(doc, limit=args.races))
-    if args.trace_out:
-        obs.write_trace(Path(args.trace_out))
+    writers = dict(
+        report_out=lambda path: write_report(path, doc),
+        markdown_out=lambda path: path.write_text(
+            render_report_markdown(doc, limit=args.races), encoding="utf-8"
+        ),
+        trace_out=obs.write_trace,
+    )
     if args.json:
-        _print_json(doc)
+        _write_json(doc)
+        _write_artifacts(args, quiet=True, **writers)
         return 0
     print(render_report_table(doc, limit=args.limit))
     for n, race in enumerate(doc["races"][: args.races], start=1):
@@ -897,13 +816,7 @@ def cmd_explain(args) -> int:
                 f"vt {entry['first_vt']} vs {entry['second_vt']}: "
                 f"{entry['reason']}"
             )
-    for out, label in (
-        (args.report_out, "race report"),
-        (args.markdown_out, "Markdown report"),
-        (args.trace_out, "Perfetto trace"),
-    ):
-        if out:
-            print(f"wrote {label} to {out}")
+    _write_artifacts(args, **writers)
     return 0
 
 
@@ -916,49 +829,23 @@ def cmd_coverage(args) -> int:
     ``repro/coverage-report/v1`` summary; ``--out`` writes the JSON
     document, ``--json`` prints it instead of the rendering.
     """
-    path = Path(args.trace)
+    path, workload = _resolve_trace(args)
     detector = DETECTORS[args.detector](backend=args.state_backend)
     obs = RunObserver(sample_every=DEFAULT_SAMPLE_EVERY)
     rate = None
-    workload = None
-    if path.exists():
+    if workload is None:
         if args.rate is not None:
-            print("--rate only applies to live workload runs", file=sys.stderr)
-            return 2
+            raise _UsageError("--rate only applies to live workload runs")
         trace = _load(path, args.format)
         obs.attach(detector)
         detector.run(trace)
         obs.finalize(detector)
         events = detector.perf.events
-    elif args.trace in WORKLOADS:
-        workload = args.trace
-        spec = WORKLOADS[args.trace].scaled(args.scale)
-        controller = None
-        if args.detector == "pacer":
-            rate = (10.0 if args.rate is None else args.rate) / 100.0
-            controller = BiasCorrectedController(
-                rate, rng=random.Random(args.seed)
-            )
-        elif args.rate is not None:
-            print("--rate only applies to the pacer detector", file=sys.stderr)
-            return 2
-        runtime = Runtime(
-            build_program(spec, args.seed),
-            detector,
-            controller=controller,
-            config=RuntimeConfig(track_memory=False),
-            seed=args.seed,
-            observer=obs,
-        )
-        runtime.run()
-        events = runtime.events
     else:
-        print(
-            f"{args.trace!r} is neither a trace file nor a workload "
-            f"(choices: {', '.join(sorted(WORKLOADS))})",
-            file=sys.stderr,
+        runtime, rate = _live_run(
+            args, workload, detector, obs, default_rate=10.0
         )
-        return 2
+        events = runtime.events
     doc = build_coverage(
         source="coverage",
         detector=detector.name,
@@ -969,14 +856,11 @@ def cmd_coverage(args) -> int:
         races=detector.races,
         events=events,
     )
-    if args.out:
-        write_coverage(Path(args.out), doc)
     if args.json:
-        _print_json(doc)
-        return 0
-    print(render_coverage(doc))
-    if args.out:
-        print(f"wrote coverage report to {args.out}")
+        _write_json(doc)
+    else:
+        print(render_coverage(doc))
+    _write_artifacts(args, quiet=args.json, out=lambda path: write_coverage(path, doc))
     return 0
 
 
@@ -1018,14 +902,14 @@ def cmd_verify_trace(args) -> int:
             }
     except (TraceFormatError, TraceError) as exc:
         if args.json:
-            _print_json({"command": "verify-trace", "trace": str(path),
+            _write_json({"command": "verify-trace", "trace": str(path),
                          "ok": False, "error": str(exc)})
         else:
             print(f"FAIL {path}: {exc}", file=sys.stderr)
         return 1
     info["validated"] = bool(args.validate)
     if args.json:
-        _print_json({"command": "verify-trace", "trace": str(path),
+        _write_json({"command": "verify-trace", "trace": str(path),
                      "ok": True, **info})
     else:
         version = "text" if info["version"] is None else f"v{info['version']}"
@@ -1110,17 +994,15 @@ def cmd_serve(args) -> int:
             f"{drained['evicted']} evicted)", flush=True,
         )
         doc = server.query_doc()
-        if args.status_out:
-            with open(args.status_out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=2)
-                fh.write("\n")
         # the merged service trace needs live shards: write before stop()
-        if args.trace_out:
-            server.write_trace(args.trace_out)
+        _write_artifacts(
+            args, quiet=True,
+            status_out=lambda path: _write_json(doc, path),
+            trace_out=server.write_trace,
+        )
         server.stop()
         # stop() finalizes every session, so the metrics fold is complete
-        if args.metrics_out:
-            server.write_metrics(args.metrics_out)
+        _write_artifacts(args, quiet=True, metrics_out=server.write_metrics)
     report = doc["report"]
     print(
         f"served {len(doc['sessions'])} session(s): {report['events']} events, "
@@ -1134,7 +1016,8 @@ def cmd_stream(args) -> int:
 
     Streams through :class:`~repro.net.ResilientClient`, so transient
     connection loss, corrupted frames, and BUSY pushback are absorbed by
-    reconnect-with-resume inside the ``--retries`` budget.
+    reconnect-with-resume inside the ``--retries`` budget.  Exits 1 when
+    the session never closed, in either output mode.
     """
     from .net import ResilientClient
 
@@ -1152,7 +1035,7 @@ def cmd_stream(args) -> int:
     client.send_events(list(trace.events))
     summary = client.close()
     if args.json:
-        _print_json(
+        _write_json(
             {
                 "command": "stream",
                 "trace": args.trace,
@@ -1162,16 +1045,7 @@ def cmd_stream(args) -> int:
                 **summary,
             }
         )
-    elif not summary:
-        # close() exhausted its retry budget without a server summary;
-        # every acked chunk is still durable server-side for a resume
-        print(
-            f"stream interrupted after {client.events_sent} event(s); "
-            f"server summary unavailable ({client.retry_count} retries)",
-            file=sys.stderr,
-        )
-        return 1
-    else:
+    elif summary:
         retried = (
             f" ({client.retry_count} reconnect(s))" if client.retry_count
             else ""
@@ -1182,6 +1056,15 @@ def cmd_stream(args) -> int:
             f"{summary['races']} race(s), "
             f"{summary['distinct_races']} distinct{retried}"
         )
+    if not summary:
+        # close() exhausted its retry budget without a server summary;
+        # every acked chunk is still durable server-side for a resume
+        print(
+            f"stream interrupted after {client.events_sent} event(s); "
+            f"server summary unavailable ({client.retry_count} retries)",
+            file=sys.stderr,
+        )
+        return 1
     return 1 if summary.get("races") and args.fail_on_race else 0
 
 
@@ -1197,18 +1080,10 @@ def cmd_chaos_proxy(args) -> int:
 
     from .net.chaos import ChaosProxy, wire_plan
 
-    plan = None
-    fault_text = args.fault_plan or os.environ.get(FAULT_PLAN_ENV, "")
-    if fault_text.strip():
-        try:
-            plan = wire_plan(fault_text)
-        except FaultPlanError as exc:
-            print(f"bad fault plan: {exc}", file=sys.stderr)
-            return 2
     proxy = ChaosProxy(
         args.listen,
         args.upstream,
-        plan=plan,
+        plan=_read_fault_plan(args, wire_plan),
         seed=args.seed,
         stall_seconds=args.stall_seconds,
     )
@@ -1230,7 +1105,7 @@ def cmd_chaos_proxy(args) -> int:
         proxy.stop()
     stats = dict(proxy.stats)
     if args.json:
-        _print_json({
+        _write_json({
             "command": "chaos-proxy",
             "listen": proxy.address,
             "upstream": args.upstream,
@@ -1253,19 +1128,16 @@ def cmd_net_report(args) -> int:
 
     from .net import query_server
 
-    want_trace = bool(args.trace_out)
     while True:
-        doc = query_server(args.address, trace=want_trace)
-        if args.report_out:
-            write_report(Path(args.report_out), doc["report"])
-        if args.metrics_out:
-            # round-trip through a registry for the canonical byte format
-            from .obs.metrics import MetricsRegistry
+        doc = query_server(args.address, trace=bool(args.trace_out))
 
+        def write_metrics(path: Path) -> None:
+            # round-trip through a registry for the canonical byte format
             registry = MetricsRegistry()
             registry.merge_snapshot(doc.get("metrics", {}))
-            registry.write_json(args.metrics_out)
-        if args.trace_out:
+            registry.write_json(path)
+
+        def write_trace(path: Path) -> None:
             if doc.get("trace_truncated"):
                 print(
                     "warning: service trace exceeded the frame limit; "
@@ -1273,15 +1145,20 @@ def cmd_net_report(args) -> int:
                     file=sys.stderr,
                 )
             elif "trace" in doc:
-                with open(args.trace_out, "w", encoding="utf-8") as fh:
-                    json.dump(doc["trace"], fh, sort_keys=True)
-                    fh.write("\n")
+                _write_json(doc["trace"], path, indent=None)
+
+        _write_artifacts(
+            args, quiet=True,
+            report_out=lambda path: write_report(path, doc["report"]),
+            metrics_out=write_metrics,
+            trace_out=write_trace,
+        )
         if args.prom:
             from .obs.prom import render_prometheus
 
             print(render_prometheus(doc.get("metrics", {})), end="")
         elif args.json:
-            _print_json(doc)
+            _write_json(doc)
         else:
             report = doc["report"]
             print(
@@ -1309,7 +1186,7 @@ def cmd_top(args) -> int:
     if args.once:
         status = build_top_status(query_server(args.address))
         if args.json:
-            _print_json(status)
+            _write_json(status)
         else:
             print(render_top(status), end="")
         return 0
@@ -1323,7 +1200,7 @@ def cmd_top(args) -> int:
                 interval=args.interval if prev is not None else None,
             )
             if args.json:
-                _print_json(status)
+                _write_json(status)
             else:
                 # clear screen + home, like watch(1)
                 print("\x1b[2J\x1b[H" + render_top(status), end="", flush=True)
@@ -1353,6 +1230,121 @@ def cmd_bench(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+_PATH = dict(default=None, metavar="PATH")
+
+#: every flag that means the same thing on several commands, declared
+#: once: dest -> (option strings, ``add_argument`` keywords)
+_FLAGS: Dict[str, Tuple[Tuple[str, ...], Dict]] = {
+    # -- run flags
+    "trace": (("trace",), dict(
+        help="a trace file (explain and coverage also take a workload "
+        "name and run it seeded)",
+    )),
+    "workload": (("workload",), dict(choices=sorted(WORKLOADS))),
+    "output": (("output",), dict(help="trace file to write")),
+    "format": (("--format",), dict(
+        choices=["auto", "text", "binary"], default="auto",
+        help="trace format (auto: sniff the PACR magic when reading, "
+        "go by the .pacr/.bin suffix when writing)",
+    )),
+    "detector": (("--detector",), dict(
+        choices=sorted(DETECTORS), default="fasttrack",
+    )),
+    "state_backend": (("--state-backend",), dict(
+        choices=BACKENDS, default=None,
+        help="detector state representation "
+        f"(default: $REPRO_STATE_BACKEND or '{DEFAULT_BACKEND}'); "
+        "both backends report identical races",
+    )),
+    "seed": (("--seed",), dict(
+        type=int, default=0,
+        help="seed of the workload trial (chaos-proxy: of the fault plan)",
+    )),
+    "scale": (("--scale",), dict(
+        type=float, default=1.0, help="workload hot-loop scale factor",
+    )),
+    "rate": (("--rate",), dict(
+        type=float, default=None,
+        help="PACER sampling rate in percent, live workload runs only "
+        "(profile and coverage default to 10 for pacer)",
+    )),
+    "limit": (("--limit",), dict(
+        type=int, default=20, help="race table rows to print",
+    )),
+    "fail_on_race": (("--fail-on-race",), dict(
+        action="store_true", help="exit 1 if races are found",
+    )),
+    "fault_plan": (("--fault-plan",), dict(
+        default=None, metavar="PLAN",
+        help="deterministic fault-injection plan: trial faults for matrix, "
+        "wire faults for chaos-proxy, e.g. "
+        "'conn_drop@seed%%5=1;frame_corrupt@7' (grammar in "
+        f"docs/ROBUSTNESS.md; default: ${FAULT_PLAN_ENV}; empty = none)",
+    )),
+    "address": (("--address",), dict(
+        required=True,
+        help="server address, tcp://host:port or unix:///path "
+        "(serve: port 0 picks a free port)",
+    )),
+    "address_file": (("--address-file",), dict(
+        help="write the bound address here (for scripted clients)",
+    )),
+    "duration": (("--duration",), dict(
+        type=float, default=None,
+        help="run for N seconds then exit (default: until ^C)",
+    )),
+    "interval": (("--interval",), dict(
+        type=float, default=2.0,
+        help="seconds between polls (default 2)",
+    )),
+    # -- artifact flags
+    "metrics_out": (("--metrics-out",), dict(
+        _PATH, help="write the metrics snapshot as deterministic JSON "
+        "(merged over trials, shards or sessions where there are several)",
+    )),
+    "timeline_out": (("--timeline-out",), dict(
+        _PATH, help="write the virtual-time probe timeline as JSONL",
+    )),
+    "trace_out": (("--trace-out",), dict(
+        _PATH, help="write a Chrome-trace/Perfetto trace (load in "
+        "ui.perfetto.dev): the run's profile, a matrix's coverage map, "
+        "or a server's merged service trace",
+    )),
+    "report_out": (("--report-out",), dict(
+        _PATH, help="write the structured race report "
+        "(repro/race-report/v1 JSON; merged on matrix and report); a "
+        "single run attaches a flight recorder for per-race context",
+    )),
+    "coverage_out": (("--coverage-out",), dict(
+        _PATH, help="write the detection-quality coverage report "
+        "(repro/coverage-report/v1 JSON): effective sampling rate, race "
+        "attribution, estimated true race count; on matrix also the "
+        "rate-vs-detection curve and proportionality audit",
+    )),
+    "sample_every": (("--sample-every",), dict(
+        type=int, default=DEFAULT_SAMPLE_EVERY, metavar="N",
+        help="virtual-time distance between detector-state probes "
+        f"(default {DEFAULT_SAMPLE_EVERY})",
+    )),
+    "json": (("--json",), dict(
+        action="store_true", help="print machine-readable JSON instead of text",
+    )),
+}
+
+
+def _add_flags(p, *dests: str, **defaults) -> None:
+    """Declare shared flags from :data:`_FLAGS` on subparser ``p``.
+
+    Keyword arguments declare a flag with a command-specific default; a
+    required flag given a default (``serve --address``) is optional.
+    """
+    for dest in (*dests, *defaults):
+        flags, kwargs = _FLAGS[dest]
+        if dest in defaults:
+            kwargs = dict(kwargs, default=defaults[dest])
+            kwargs.pop("required", None)
+        p.add_argument(*flags, **kwargs)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -1365,21 +1357,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("record", help="run a workload and save its trace")
-    p.add_argument("workload", choices=sorted(WORKLOADS))
-    p.add_argument("output")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0, help="hot-loop scale factor")
-    p.add_argument("--format", choices=["auto", "text", "binary"], default="auto")
+    _add_flags(p, "workload", "output", "seed", "scale", "format")
     p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("analyze", help="run a detector over a trace file")
-    p.add_argument("trace")
-    p.add_argument("--detector", choices=sorted(DETECTORS), default="fasttrack")
-    p.add_argument("--format", choices=["auto", "text", "binary"], default="auto")
-    p.add_argument("--limit", type=int, default=20)
-    p.add_argument(
-        "--fail-on-race", action="store_true", help="exit 1 if races are found"
-    )
+    _add_flags(p, "trace", "detector", "format", "limit", "fail_on_race")
     p.add_argument(
         "--batch",
         action="store_true",
@@ -1391,12 +1373,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BATCH_SIZE,
         help="events per batch with --batch",
     )
-    p.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output: races + counters + metrics",
+    _add_flags(
+        p, "json", "state_backend", "metrics_out", "timeline_out",
+        "trace_out", "report_out", "coverage_out", "sample_every",
     )
-    _add_backend_argument(p)
-    _add_obs_arguments(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
@@ -1404,64 +1384,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a trace (or workload) and explain each race with a "
         "happens-before witness and flight-recorder context",
     )
-    p.add_argument(
-        "trace",
-        help="a trace file, or a workload name to generate one (seeded)",
-    )
-    p.add_argument("--detector", choices=sorted(DETECTORS), default="fasttrack")
-    p.add_argument("--format", choices=["auto", "text", "binary"], default="auto")
-    p.add_argument("--seed", type=int, default=0, help="workload trial seed")
-    p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
+    _add_flags(p, "trace", "detector", "format", "seed", "scale")
     p.add_argument(
         "--races", type=int, default=5, metavar="N",
         help="number of distinct races to detail (default 5)",
     )
-    p.add_argument("--limit", type=int, default=20, help="table rows")
+    _add_flags(p, "limit")
     p.add_argument(
         "--window", type=int, default=DEFAULT_WINDOW, metavar="N",
         help=f"flight-recorder events kept per thread (default {DEFAULT_WINDOW})",
     )
-    p.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="write the structured race report (repro/race-report/v1 JSON)",
-    )
+    _add_flags(p, "report_out")
     p.add_argument(
         "--markdown-out", default=None, metavar="PATH",
         help="write the report rendered as Markdown",
     )
-    p.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write a Perfetto trace with race flow arrows "
-        "(open in ui.perfetto.dev)",
-    )
-    p.add_argument(
-        "--sample-every", type=int, default=DEFAULT_SAMPLE_EVERY, metavar="N",
-        help="probe cadence for the bundled Perfetto trace",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the report document instead of tables",
-    )
-    _add_backend_argument(p)
+    _add_flags(p, "trace_out", "sample_every", "json", "state_backend")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("oracle", help="exact happens-before ground truth")
-    p.add_argument("trace")
-    p.add_argument("--format", choices=["auto", "text", "binary"], default="auto")
-    p.add_argument("--limit", type=int, default=20)
+    _add_flags(p, "trace", "format", "limit")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("detect", help="run a workload live under a detector")
-    p.add_argument("workload", choices=sorted(WORKLOADS))
-    p.add_argument("--detector", choices=sorted(DETECTORS), default="pacer")
-    p.add_argument(
-        "--rate", type=float, default=None, help="PACER sampling rate in percent"
+    _add_flags(
+        p, "workload", "rate", "seed", "scale", "limit", "state_backend",
+        "metrics_out", "timeline_out", "trace_out", "report_out",
+        "coverage_out", "sample_every", detector="pacer",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--limit", type=int, default=20)
-    _add_backend_argument(p)
-    _add_obs_arguments(p)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser(
@@ -1469,20 +1419,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload with full observability (metrics, timeline, "
         "Perfetto trace)",
     )
-    p.add_argument("workload", choices=sorted(WORKLOADS))
-    p.add_argument("--detector", choices=sorted(DETECTORS), default="pacer")
-    p.add_argument(
-        "--rate", type=float, default=None,
-        help="PACER sampling rate in percent (default 10 for pacer)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
-    _add_backend_argument(p)
-    _add_obs_arguments(
-        p,
-        metrics_default="metrics.json",
-        timeline_default="timeline.jsonl",
-        trace_default="profile.trace.json",
+    _add_flags(
+        p, "workload", "rate", "seed", "scale", "state_backend",
+        "report_out", "coverage_out", "sample_every", detector="pacer",
+        metrics_out="metrics.json", timeline_out="timeline.jsonl",
+        trace_out="profile.trace.json",
     )
     p.set_defaults(func=cmd_profile)
 
@@ -1506,28 +1447,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=default_jobs(),
         help="worker processes (default: REPRO_JOBS or 1)",
     )
-    p.add_argument("--scale", type=float, default=0.5)
-    p.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output: per-cell races + counters + metrics",
-    )
-    p.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the merged, jobs-independent metrics snapshot as JSON",
-    )
-    p.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write a Perfetto coverage trace of the matrix (one span per trial)",
-    )
-    p.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="write the merged, jobs-independent race report as JSON",
-    )
-    p.add_argument(
-        "--coverage-out", default=None, metavar="PATH",
-        help="write the merged detection-quality coverage report "
-        "(repro/coverage-report/v1) with the rate-vs-detection curve "
-        "and per-cell proportionality audit",
+    _add_flags(
+        p, "json", "metrics_out", "trace_out", "report_out", "coverage_out",
+        "state_backend", "fault_plan", scale=0.5,
     )
     p.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -1549,11 +1471,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tries per trial before quarantine (default 3)",
     )
     p.add_argument(
-        "--fault-plan", default=None, metavar="PLAN",
-        help="deterministic fault-injection plan for chaos testing "
-        f"(grammar in docs/ROBUSTNESS.md; default: ${FAULT_PLAN_ENV})",
-    )
-    p.add_argument(
         "--quarantine-out", default=None, metavar="PATH",
         help="write the structured quarantine report "
         "(repro/quarantine/v1 JSON; empty when nothing failed)",
@@ -1563,33 +1480,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="strict mode: abort (naming the dropped trials) instead of "
         "quarantining tasks that exhaust their retries",
     )
-    _add_backend_argument(p)
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser(
         "verify-trace",
         help="integrity-check a trace file (structure + CRC32 trailer)",
     )
-    p.add_argument("trace")
+    _add_flags(p, "trace")
     p.add_argument(
         "--validate", action="store_true",
         help="also check trace feasibility, not just encoding integrity",
     )
-    p.add_argument(
-        "--json", action="store_true",
-        help="machine-readable verification verdict",
-    )
+    _add_flags(p, "json")
     p.set_defaults(func=cmd_verify_trace)
 
     p = sub.add_parser("serve", help="run the race-telemetry server")
-    p.add_argument(
-        "--address", default="tcp://127.0.0.1:0",
-        help="tcp://host:port or unix:///path (port 0 picks a free port)",
-    )
-    p.add_argument(
-        "--address-file",
-        help="write the bound address here (for scripted clients)",
-    )
+    _add_flags(p, "address_file", address="tcp://127.0.0.1:0")
     p.add_argument("--shards", type=int, default=2, help="detector workers")
     p.add_argument(
         "--shard-mode", choices=["process", "inline"], default="process",
@@ -1610,22 +1516,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the final status document (JSON) on shutdown",
     )
     p.add_argument(
-        "--duration", type=float, default=None,
-        help="serve for N seconds then exit (default: until ^C)",
-    )
-    p.add_argument(
         "--http", metavar="HOST:PORT",
         help="expose /metrics (Prometheus), /status, /healthz over HTTP "
         "(port 0 picks a free port)",
     )
-    p.add_argument(
-        "--metrics-out", metavar="PATH",
-        help="write the final mergeable metrics snapshot (JSON) on shutdown",
-    )
-    p.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write the merged service Perfetto trace on shutdown",
-    )
+    _add_flags(p, "duration", "metrics_out", "trace_out")
     p.add_argument(
         "--spool-quota", type=int, default=None, metavar="BYTES",
         help="per-session spool disk quota; sessions over it are evicted "
@@ -1648,17 +1543,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("stream", help="stream a trace file to a server")
-    p.add_argument("trace")
-    p.add_argument("--address", required=True, help="server address")
+    _add_flags(p, "trace", "address")
     p.add_argument("--session", required=True, help="session name")
-    p.add_argument("--detector", choices=sorted(DETECTORS), default="fasttrack")
-    p.add_argument("--format", choices=["auto", "text", "binary"], default="auto")
+    _add_flags(p, "detector", "format")
     p.add_argument(
         "--chunk-size", type=int, default=512, help="events per frame"
     )
-    p.add_argument(
-        "--fail-on-race", action="store_true", help="exit 1 if races are found"
-    )
+    _add_flags(p, "fail_on_race")
     p.add_argument(
         "--retries", type=int, default=8,
         help="reconnect-with-resume budget per operation (default 8)",
@@ -1668,8 +1559,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="base reconnect backoff; doubles per attempt, jittered "
         "(default 0.05)",
     )
-    p.add_argument("--json", action="store_true")
-    _add_backend_argument(p)
+    _add_flags(p, "json", "state_backend")
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser(
@@ -1684,47 +1574,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--upstream", required=True,
         help="the real telemetry server's address",
     )
-    p.add_argument(
-        "--fault-plan", default=None, metavar="PLAN",
-        help="wire fault plan, e.g. 'conn_drop@seed%%5=1;frame_corrupt@7' "
-        f"(default: ${FAULT_PLAN_ENV}; empty = transparent proxy)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="fault-plan seed")
+    _add_flags(p, "fault_plan", "seed")
     p.add_argument(
         "--stall-seconds", type=float, default=0.35,
         help="pause injected by 'stall' faults (default 0.35)",
     )
-    p.add_argument(
-        "--address-file",
-        help="write the bound listen address here (for scripted clients)",
-    )
-    p.add_argument(
-        "--duration", type=float, default=None,
-        help="proxy for N seconds then exit (default: until ^C)",
-    )
-    p.add_argument("--json", action="store_true")
+    _add_flags(p, "address_file", "duration", "json")
     p.set_defaults(func=cmd_chaos_proxy)
 
     p = sub.add_parser("report", help="query a server's live merged report")
-    p.add_argument("--address", required=True, help="server address")
+    _add_flags(p, "address")
     p.add_argument(
         "--follow", action="store_true",
         help="keep polling every --interval seconds",
     )
-    p.add_argument("--interval", type=float, default=2.0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--report-out",
-        help="write the merged repro/race-report/v1 document here",
-    )
-    p.add_argument(
-        "--metrics-out", metavar="PATH",
-        help="write the server's merged metrics snapshot (JSON) here",
-    )
-    p.add_argument(
-        "--trace-out", metavar="PATH",
-        help="request and write the merged service Perfetto trace here",
-    )
+    _add_flags(p, "interval", "json", "report_out", "metrics_out", "trace_out")
     p.add_argument(
         "--prom", action="store_true",
         help="print the metrics in Prometheus text format instead",
@@ -1732,19 +1596,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_net_report)
 
     p = sub.add_parser("top", help="live operator console for a server")
-    p.add_argument("--address", required=True, help="server address")
-    p.add_argument(
-        "--interval", type=float, default=2.0,
-        help="refresh interval in seconds (default 2)",
-    )
+    _add_flags(p, "address", "interval")
     p.add_argument(
         "--once", action="store_true",
         help="print one sample and exit (rates are null)",
     )
-    p.add_argument(
-        "--json", action="store_true",
-        help="emit repro/top-status/v1 JSON instead of the dashboard",
-    )
+    _add_flags(p, "json")
     p.set_defaults(func=cmd_top)
 
     p = sub.add_parser(
@@ -1770,34 +1627,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit detection quality: effective sampling rate, race "
         "attribution, and estimated true race count",
     )
-    p.add_argument(
-        "trace",
-        help="a trace file, or a workload name to run live (seeded)",
-    )
-    p.add_argument("--detector", choices=sorted(DETECTORS), default="pacer")
-    p.add_argument("--format", choices=["auto", "text", "binary"], default="auto")
-    p.add_argument(
-        "--rate", type=float, default=None,
-        help="PACER sampling rate in percent (default 10 for pacer; "
-        "live workload runs only)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="workload trial seed")
-    p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
+    _add_flags(p, "trace", "format", "rate", "seed", "scale", detector="pacer")
     p.add_argument(
         "--out", default=None, metavar="PATH",
         help="also write the repro/coverage-report/v1 JSON document",
     )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the coverage document instead of the summary",
-    )
-    _add_backend_argument(p)
+    _add_flags(p, "json", "state_backend")
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("convert", help="convert between trace formats")
     p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--format", choices=["auto", "text", "binary"], default="auto")
+    _add_flags(p, "output", "format")
     p.set_defaults(func=cmd_convert)
 
     return parser
@@ -1805,7 +1645,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

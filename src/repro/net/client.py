@@ -27,14 +27,12 @@ Two layers:
 from __future__ import annotations
 
 import socket
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.tracing import PID_CLIENT_BASE, SpanRecorder, chunk_flow_id
 from ..trace.events import SBEGIN, SEND, Event
 from .protocol import (
-    DEFAULT_MAX_FRAME,
     Close,
     CloseAck,
     Credit,
@@ -42,7 +40,6 @@ from .protocol import (
     EventsChunk,
     FrameDecoder,
     FrameTruncated,
-    Heartbeat,
     Hello,
     HelloAck,
     ProtocolError,
@@ -97,7 +94,6 @@ class TelemetryClient:
         detector: str = "fasttrack",
         backend: Optional[str] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_frame: int = DEFAULT_MAX_FRAME,
         timeout: float = 30.0,
         trace: bool = True,
     ) -> None:
@@ -106,10 +102,9 @@ class TelemetryClient:
         self.detector = detector
         self.backend = backend
         self.chunk_size = chunk_size
-        self.max_frame = max_frame
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
-        self._decoder = FrameDecoder(max_frame)
+        self._decoder = FrameDecoder()
         self._inbox: List = []
         self.credits = 0
         #: next EVENTS sequence number to assign
@@ -142,7 +137,7 @@ class TelemetryClient:
             sock.settimeout(self.timeout)
             sock.connect(target)
         self._sock = sock
-        self._decoder = FrameDecoder(self.max_frame)
+        self._decoder = FrameDecoder()
         self._inbox = []
 
     def connect(self, resume: bool = False) -> HelloAck:
@@ -218,7 +213,13 @@ class TelemetryClient:
         self.credits = 0
 
     def reconnect(self) -> HelloAck:
-        """Resume this session on a fresh connection."""
+        """Resume this session on a fresh connection, by hand.
+
+        The raw client never reconnects on its own; this is how a
+        caller (a drain/restart script, a test) resumes after a drop.
+        :class:`~repro.net.resilient.ResilientClient` does the same
+        automatically, inside a retry budget.
+        """
         self.abort()
         return self.connect(resume=True)
 
@@ -227,7 +228,7 @@ class TelemetryClient:
     def _send(self, msg) -> None:
         if self._sock is None:
             raise ProtocolError("client is not connected")
-        self._sock.sendall(encode_message(msg, self.max_frame))
+        self._sock.sendall(encode_message(msg))
 
     def _pump(self) -> None:
         """Block until at least one frame arrives and absorb it.
@@ -311,15 +312,6 @@ class TelemetryClient:
         """Ship (part of) the site-id -> source-location name table."""
         if sites:
             self._send(Sites(sites=dict(sites)))
-
-    def heartbeat(self, nonce: int = 1) -> None:
-        """Liveness round-trip; raises if the echo doesn't match."""
-        self._send(Heartbeat(nonce=nonce))
-        echo = self._wait_for(Heartbeat)
-        if echo.nonce != nonce:
-            raise ProtocolError(
-                f"heartbeat echo mismatch: sent {nonce}, got {echo.nonce}"
-            )
 
     def drain(self) -> None:
         """Block until every sent chunk has been CREDIT-acknowledged.
@@ -541,30 +533,26 @@ class TelemetryMonitor:
         detector: str = "fasttrack",
         backend: Optional[str] = None,
         chunk_size: int = 256,
-        client=None,
     ) -> None:
         # imported here: repro.live imports are heavier than this module
         from ..live import RaceMonitor
 
-        if client is None:
-            # circular-import dance: resilient builds on this module
-            from .resilient import ResilientClient
+        # circular-import dance: resilient builds on this module
+        from .resilient import ResilientClient
 
-            # production monitoring defaults to the self-healing client:
-            # a dropped connection mid-run resumes instead of raising
-            # into the monitored program's threads
-            client = ResilientClient(
-                address, session, detector=detector, backend=backend,
-                chunk_size=chunk_size,
-            )
-        self.client = client
+        # monitoring streams through the self-healing client: a dropped
+        # connection mid-run resumes instead of raising into the
+        # monitored program's threads
+        self.client = ResilientClient(
+            address, session, detector=detector, backend=backend,
+            chunk_size=chunk_size,
+        )
         self._fwd = ForwardingDetector(
             on_chunk=self._flush_buffered, chunk_size=chunk_size
         )
         self.monitor = RaceMonitor(detector=self._fwd)
         self._closed = False
-        if not self.client.connected:
-            self.client.connect()
+        self.client.connect()
 
     # -- delegated monitoring API -------------------------------------------
 

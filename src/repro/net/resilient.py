@@ -19,12 +19,11 @@ that policy:
   in lockstep, and chaos tests replay the identical schedule;
 * a server-advised ``retry_after`` (BUSY handshakes, evictions) floors
   the computed delay — overloaded servers get the quiet they asked for;
-* the retry budget is bounded (``retries`` per operation): a server
-  that is truly gone produces the *original* named error, not an
-  infinite loop;
-* the pending buffer stays bounded: the credit window already caps
-  unacked chunks, and an optional ``max_pending`` forces a full drain
-  whenever the buffer grows past it;
+* one retry loop serves every operation, with a bounded budget
+  (``retries`` per operation): a server that is truly gone produces
+  the *original* named error, not an infinite loop;
+* the pending buffer stays bounded: the credit window caps unacked
+  chunks;
 * ``close()`` is idempotent and exception-safe, and — unlike the raw
   client's — *completes the close handshake* under faults: a summary
   lost to a dying connection is re-fetched on a fresh resume.
@@ -48,16 +47,11 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..trace.events import Event
 from .client import DEFAULT_CHUNK_SIZE, TelemetryClient
-from .protocol import (
-    DEFAULT_MAX_FRAME,
-    HandshakeError,
-    HelloAck,
-    ProtocolError,
-)
+from .protocol import HandshakeError, HelloAck, ProtocolError
 
 __all__ = ["ResilientClient", "DEFAULT_RETRIES"]
 
@@ -67,6 +61,8 @@ DEFAULT_RETRIES = 8
 #: backoff schedule defaults: base * 2^attempt, capped, jittered
 DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_MAX = 2.0
+
+T = TypeVar("T")
 
 
 def _is_retryable(exc: Exception) -> bool:
@@ -91,27 +87,22 @@ class ResilientClient:
         detector: str = "fasttrack",
         backend: Optional[str] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_frame: int = DEFAULT_MAX_FRAME,
         timeout: float = 30.0,
         trace: bool = True,
         retries: int = DEFAULT_RETRIES,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_max: float = DEFAULT_BACKOFF_MAX,
         seed: Optional[int] = None,
-        max_pending: Optional[int] = None,
-        client: Optional[TelemetryClient] = None,
     ) -> None:
-        self.client = client or TelemetryClient(
+        self.client = TelemetryClient(
             address, session, detector=detector, backend=backend,
-            chunk_size=chunk_size, max_frame=max_frame, timeout=timeout,
-            trace=trace,
+            chunk_size=chunk_size, timeout=timeout, trace=trace,
         )
         self.retries = retries
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
-        self.max_pending = max_pending
         if seed is None:
-            seed = zlib.crc32(self.client.session.encode("utf-8"))
+            seed = zlib.crc32(session.encode("utf-8"))
         self._rng = random.Random(seed)
         #: total reconnect attempts performed over this client's life
         self.retry_count = 0
@@ -119,6 +110,8 @@ class ResilientClient:
         self.backoff_seconds = 0.0
         #: True once a HELLO(_ACK) round-trip established the session
         self._established = False
+        #: the HELLO_ACK of the current connection
+        self._ack: Optional[HelloAck] = None
         self._closed = False
 
     # -- delegated read surface ----------------------------------------------
@@ -171,95 +164,82 @@ class ResilientClient:
         self.backoff_seconds += delay
         time.sleep(delay)
 
-    def _reconnect(self, attempt: int, exc: Optional[Exception]) -> HelloAck:
-        """One backoff + reconnect round; raises what connect raises."""
-        self._backoff(attempt, exc)
-        self.retry_count += 1
-        self.client.abort()
+    def _open(self) -> HelloAck:
+        """Say HELLO unless connected: a new session until one was
+        established, a resume after that.  Returns the connection's ack."""
+        if self.client.connected:
+            return self._ack
         try:
-            ack = self.client.connect(resume=self._established)
-        except HandshakeError as handshake_exc:
-            if (
-                not self._established
-                and "already exists" in str(handshake_exc)
-            ):
-                # our first HELLO opened the session but the ack died on
-                # the wire — that half-open session is ours, resume it
-                self._established = True
-                ack = self.client.connect(resume=True)
-            else:
+            self._ack = self.client.connect(resume=self._established)
+        except HandshakeError as exc:
+            if self._established or "already exists" not in str(exc):
                 raise
+            # our first HELLO opened the session but the ack died on the
+            # wire — that half-open session is ours, resume it
+            self.client.abort()
+            self._established = True
+            self._ack = self.client.connect(resume=True)
         self._established = True
-        if self.client.recorder is not None:
-            self.client.recorder.instant(
-                "reconnect",
-                args={
-                    "attempt": attempt + 1,
-                    "cause": type(exc).__name__ if exc else "none",
-                },
-            )
-        return ack
+        return self._ack
 
-    def _recover(self, exc: Exception) -> None:
-        """Reconnect-with-resume after ``exc``, spending the budget.
+    def _live(self) -> TelemetryClient:
+        """The raw client; a dropped connection is a retryable failure."""
+        if not self.client.connected:
+            raise ProtocolError("client is not connected")
+        return self.client
 
-        Raises the *last* failure when the budget runs out, or ``exc``
-        itself when it is not retryable (config errors stay loud).  The
-        budget is per *non-progressing* attempt: a reconnect that died
-        but shrank the unacked buffer (e.g. an evict-per-chunk server
-        acking one retransmit per connection) resets the counter — only
-        a wire that moves nothing at all exhausts it.
+    def _retry(self, op: Callable[[], T]) -> T:
+        """The one reconnect-and-retry loop: run ``op`` until it succeeds.
+
+        A retryable failure — of ``op`` or of a reconnect — is healed by
+        a backoff and a reconnect with resume, then ``op`` runs again.
+        A failure that is not retryable raises at once (config errors
+        stay loud).  The budget counts *non-progressing* reconnects: a
+        successful reconnect, or a failed one that still shrank the
+        unacked buffer (e.g. an evict-per-chunk server acking one
+        retransmit per connection), resets it — only a wire that moves
+        nothing at all exhausts it, raising the last failure.
         """
-        if not _is_retryable(exc):
-            raise exc
-        last: Exception = exc
         attempt = 0
-        while attempt < self.retries:
+        exc: Optional[Exception] = None
+        while True:
             before = len(self.client.unacked)
             try:
-                self._reconnect(attempt, last)
-                return
-            except Exception as retry_exc:  # noqa: BLE001 - re-raised below
-                if not _is_retryable(retry_exc):
+                if exc is not None:
+                    self._backoff(attempt, exc)
+                    self.retry_count += 1
+                    self.client.abort()
+                    self._open()
+                    if self.client.recorder is not None:
+                        self.client.recorder.instant(
+                            "reconnect",
+                            args={"attempt": attempt + 1,
+                                  "cause": type(exc).__name__},
+                        )
+                    attempt, exc = 0, None
+                return op()
+            except Exception as failure:  # noqa: BLE001 - filtered below
+                if not _is_retryable(failure):
                     raise
-                last = retry_exc
-                if len(self.client.unacked) < before:
-                    attempt = 0
-                else:
+                if exc is not None and len(self.client.unacked) >= before:
                     attempt += 1
-        raise last
+                else:
+                    attempt = 0
+                if attempt >= self.retries:
+                    raise
+                exc = failure
 
     # -- operations ----------------------------------------------------------
 
     def connect(self, resume: bool = False) -> HelloAck:
-        """Open the session, retrying transient connect failures."""
+        """Open the session, retrying transient connect failures.
+
+        The first attempt connects at once; only retries back off.
+        """
         if resume:
             self._established = True
-        attempt = 0
-        while True:
-            try:
-                self.client.abort()
-                ack = self.client.connect(resume=self._established)
-            except HandshakeError as exc:
-                if not self._established and "already exists" in str(exc):
-                    # our first HELLO opened the session but the ack
-                    # died on the wire — that half-open session is ours
-                    self._established = True
-                    continue
-                raise
-            except (OSError, ProtocolError) as exc:
-                if attempt >= self.retries:
-                    raise
-                self._backoff(attempt, exc)
-                self.retry_count += 1
-                attempt += 1
-                continue
-            self._established = True
-            if attempt and self.client.recorder is not None:
-                self.client.recorder.instant(
-                    "reconnect", args={"attempt": attempt, "cause": "connect"}
-                )
-            return ack
+        self.client.abort()
+        return self._retry(self._open)
 
     def send_events(self, events: Sequence[Event]) -> None:
         """Stream events; any wire death resumes from the lost chunk.
@@ -272,57 +252,22 @@ class ResilientClient:
         """
         events = list(events)
         base = self.client.events_sent
-        while True:
-            if not self.client.connected:
-                self._recover(ProtocolError("client is not connected"))
-            try:
-                self.client.send_events(events[self.client.events_sent - base:])
-                break
-            except Exception as exc:  # noqa: BLE001 - _recover filters
-                self._recover(exc)
-        if (
-            self.max_pending is not None
-            and len(self.client.unacked) > self.max_pending
-        ):
-            self.drain()
+        self._retry(lambda: self._live().send_events(
+            events[self.client.events_sent - base:]
+        ))
 
     def send_sites(self, sites: Dict[int, str]) -> None:
         """Ship site names; retried like events (SITES is idempotent)."""
-        if not sites:
-            return
-        while True:
-            if not self.client.connected:
-                self._recover(ProtocolError("client is not connected"))
-            try:
-                self.client.send_sites(sites)
-                return
-            except Exception as exc:  # noqa: BLE001 - _recover filters
-                self._recover(exc)
+        if sites:
+            self._retry(lambda: self._live().send_sites(sites))
 
     def drain(self) -> None:
         """Wait for every chunk's CREDIT, reconnecting as needed."""
-        while self.client.unacked:
-            if not self.client.connected:
-                self._recover(ProtocolError("client is not connected"))
-            try:
-                self.client.drain()
-            except Exception as exc:  # noqa: BLE001 - _recover filters
-                self._recover(exc)
+        if self.client.unacked:
+            self._retry(lambda: self._live().drain())
 
     def query(self, trace: bool = False) -> Dict:
-        while True:
-            if not self.client.connected:
-                self._recover(ProtocolError("client is not connected"))
-            try:
-                return self.client.query(trace=trace)
-            except Exception as exc:  # noqa: BLE001 - _recover filters
-                self._recover(exc)
-
-    def heartbeat(self, nonce: int = 1) -> None:
-        self.client.heartbeat(nonce=nonce)
-
-    def ship_spans(self) -> int:
-        return self.client.ship_spans()
+        return self._retry(lambda: self._live().query(trace=trace))
 
     def close(self) -> Dict:
         """Complete the close handshake, healing through failures.
@@ -341,7 +286,7 @@ class ResilientClient:
         while True:
             if not self.client.connected:
                 try:
-                    self._recover(ProtocolError("client is not connected"))
+                    self._retry(self._live)
                 except (OSError, ProtocolError):
                     self._closed = True
                     return self.client.last_summary or {}

@@ -75,7 +75,6 @@ from ..trace.binio import dumps_binary  # noqa: F401
 from .client import parse_address
 from .protocol import (
     DEFAULT_CREDITS,
-    DEFAULT_MAX_FRAME,
     Close,
     CloseAck,
     Credit,
@@ -137,13 +136,10 @@ class ServerConfig:
     shard_mode: str = "process"
     #: initial credit window granted per session in HELLO_ACK
     credits: int = DEFAULT_CREDITS
-    max_frame: int = DEFAULT_MAX_FRAME
     max_sessions: int = 64
     #: chunk spool directory for crash replay (default: a temp dir the
     #: server creates and removes on stop)
     spool_dir: Optional[str] = None
-    #: flight-recorder window per session (matches offline analyze)
-    window: Optional[int] = None
     #: fault injection: shard -> crash before that worker's Nth chunk
     crash_plan: Optional[Dict[int, int]] = None
     #: slow-shard injection: seconds of delay per chunk (backpressure)
@@ -237,6 +233,23 @@ def _read_spool(path: Path) -> List[bytes]:
     return chunks
 
 
+def _replay_session(sess: _Session, call) -> int:
+    """Rebuild one session on its shard; returns the chunks replayed.
+
+    Opens the session, restores its site table, then re-applies every
+    spooled chunk in order, so the detector state is byte-identical to
+    the state the chunks built the first time.  ``call`` issues one raw
+    shard op message.  Crash recovery and manifest adoption both use it.
+    """
+    call(("open", sess.name, sess.detector, sess.backend, sess.trace_id))
+    if sess.site_names:
+        call(("sites", sess.name, dict(sess.site_names)))
+    chunks = _read_spool(sess.spool_path)
+    for data in chunks:
+        call(("events", sess.name, data, {"replay": True}))
+    return len(chunks)
+
+
 class TelemetryServer:
     """A streaming race-detection server (see the module docstring)."""
 
@@ -297,12 +310,9 @@ class TelemetryServer:
         else:
             self._spool_dir = Path(tempfile.mkdtemp(prefix="repro-telemetry-"))
             self._owns_spool = True
-        from ..obs.provenance import DEFAULT_WINDOW
-
         self._pool = ShardPool(
             n_shards=cfg.n_shards,
             mode=cfg.shard_mode,
-            window=cfg.window if cfg.window is not None else DEFAULT_WINDOW,
             chunk_delay=cfg.chunk_delay,
             crash_plan=cfg.crash_plan,
         )
@@ -359,7 +369,7 @@ class TelemetryServer:
                 pass
         for thread in list(self._conn_threads):
             thread.join(timeout=5.0)
-        # final fold so merged_report()/log reflect every session
+        # final fold so query_doc()/log reflect every session
         with self._sessions_lock:
             sessions = list(self._sessions.values())
         for sess in sessions:
@@ -509,10 +519,10 @@ class TelemetryServer:
     def _adopt_manifest(self) -> None:
         """Rebuild sessions a drained predecessor left in the spool dir.
 
-        The same replay path crash recovery uses — open, site table,
-        spooled chunks in order — so adopted detector state is
-        byte-identical to the state the old server held, and a client
-        resuming here continues exactly where its CREDIT stream stopped.
+        The replay crash recovery uses (:func:`_replay_session`), so
+        adopted detector state is byte-identical to the state the old
+        server held, and a client resuming here continues exactly where
+        its CREDIT stream stopped.
         """
         assert self._pool is not None
         if self._spool_dir is None:
@@ -535,13 +545,9 @@ class TelemetryServer:
                 int(k): v for k, v in entry.get("site_names", {}).items()
             }
             sess.spool_bytes = spool.stat().st_size if spool.exists() else 0
-            self._pool.open_session(
-                sess.name, sess.detector, sess.backend, trace_id=sess.trace_id
+            _replay_session(
+                sess, lambda msg: self._pool.call(sess.shard, msg)
             )
-            if sess.site_names:
-                self._pool.add_sites(sess.name, dict(sess.site_names))
-            for data in _read_spool(sess.spool_path):
-                self._pool.apply(sess.name, data, {"replay": True})
             self._finalize_session(sess)
             with self._sessions_lock:
                 self._sessions[sess.name] = sess
@@ -620,7 +626,7 @@ class TelemetryServer:
 
     def _send(self, sock: socket.socket, msg) -> None:
         try:
-            sock.sendall(encode_message(msg, self.config.max_frame))
+            sock.sendall(encode_message(msg))
         except OSError:  # pragma: no cover - peer vanished mid-send
             pass
 
@@ -650,7 +656,7 @@ class TelemetryServer:
             )
 
     def _serve_connection(self, sock: socket.socket) -> None:
-        decoder = FrameDecoder(self.config.max_frame)
+        decoder = FrameDecoder()
         sess: Optional[_Session] = None
         self.metrics.counter("net_connections_total").inc()
         with self._queue_lock:
@@ -1100,13 +1106,7 @@ class TelemetryServer:
                     s for s in self._sessions.values() if s.shard == shard
                 ]
             for sess in sorted(owned, key=lambda s: s.name):
-                call(("open", sess.name, sess.detector, sess.backend,
-                      sess.trace_id))
-                if sess.site_names:
-                    call(("sites", sess.name, dict(sess.site_names)))
-                for data in _read_spool(sess.spool_path):
-                    call(("events", sess.name, data, {"replay": True}))
-                    replayed_chunks[0] += 1
+                replayed_chunks[0] += _replay_session(sess, call)
                 self._log(
                     f"replayed session {sess.name}: {sess.applied_seq} "
                     f"spooled chunk(s)"
@@ -1148,16 +1148,7 @@ class TelemetryServer:
                     self._recover(exc.shard)
                     self._finalize_session(sess)
         docs = [sess.last_doc for sess in sessions if sess.last_doc]
-        self._update_shard_health()
-        coverage = merge_coverage(
-            [d["coverage"] for d in docs if d.get("coverage")],
-            source="telemetry",
-        )
-        self._update_quality_gauges(coverage)
-        merged_metrics = MetricsRegistry()
-        merged_metrics.merge(self.metrics)
-        for doc in docs:
-            merged_metrics.merge_snapshot(doc["metrics"])
+        coverage, merged_metrics = self._fold(docs)
         roster = [
             {
                 "session": sess.name,
@@ -1214,28 +1205,34 @@ class TelemetryServer:
         )
         return doc
 
-    def _update_shard_health(self) -> None:
-        """Refresh the per-shard health and quarantine gauges."""
-        pool = self._pool
-        if pool is None:
-            return
-        for shard in range(pool.n_shards):
-            restarts = pool.restarts_by_shard[shard]
-            self.metrics.gauge("net_shard_up", shard=shard).set(
-                1 if pool.alive(shard) else 0
-            )
-            self.metrics.gauge("net_shard_restarts", shard=shard).set(restarts)
-            self.metrics.gauge("net_shard_quarantined", shard=shard).set(
-                1 if restarts > QUARANTINE_RESTARTS else 0
-            )
+    def _fold(self, docs: List[Dict]):
+        """Fold session docs (in session-name order) into the server view.
 
-    def _update_quality_gauges(self, coverage: Dict) -> None:
-        """Refresh the detection-quality gauges from a merged coverage doc.
-
-        These live in the *server's* registry only (like the ``net_*``
-        series), so per-session metrics stay byte-identical to the same
-        trace analyzed offline.
+        Refreshes the per-shard health and quarantine gauges, merges the
+        sessions' coverage into the detection-quality gauges, then
+        merges the server registry with every session's metrics.
+        Returns ``(merged coverage doc, merged MetricsRegistry)``.  The
+        quality gauges live in the *server's* registry only (like the
+        ``net_*`` series), so per-session metrics stay byte-identical to
+        the same trace analyzed offline.
         """
+        pool = self._pool
+        if pool is not None:
+            for shard in range(pool.n_shards):
+                restarts = pool.restarts_by_shard[shard]
+                self.metrics.gauge("net_shard_up", shard=shard).set(
+                    1 if pool.alive(shard) else 0
+                )
+                self.metrics.gauge("net_shard_restarts", shard=shard).set(
+                    restarts
+                )
+                self.metrics.gauge("net_shard_quarantined", shard=shard).set(
+                    1 if restarts > QUARANTINE_RESTARTS else 0
+                )
+        coverage = merge_coverage(
+            [d["coverage"] for d in docs if d.get("coverage")],
+            source="telemetry",
+        )
         self.metrics.gauge("pacer_effective_rate").set(
             coverage["sync"]["effective_rate"]
         )
@@ -1245,10 +1242,11 @@ class TelemetryServer:
         self.metrics.gauge("pacer_coverage_deficit").set(
             coverage["estimate"]["coverage_deficit"]
         )
-
-    def merged_report(self, refresh: bool = True) -> Dict:
-        """Just the merged ``repro/race-report/v1`` document."""
-        return self.query_doc(refresh=refresh)["report"]
+        merged = MetricsRegistry()
+        merged.merge(self.metrics)
+        for doc in docs:
+            merged.merge_snapshot(doc["metrics"])
+        return coverage, merged
 
     # -- observability surfaces ----------------------------------------------
 
@@ -1296,23 +1294,9 @@ class TelemetryServer:
             merged = MetricsRegistry()
             merged.merge_snapshot(self.query_doc()["metrics"])
             return merged
-        self._update_shard_health()
         with self._sessions_lock:
-            docs = [
-                s.last_doc for s in self._sessions.values() if s.last_doc
-            ]
-        # quality gauges must land in self.metrics before the fold below
-        self._update_quality_gauges(
-            merge_coverage(
-                [d["coverage"] for d in docs if d.get("coverage")],
-                source="telemetry",
-            )
-        )
-        merged = MetricsRegistry()
-        merged.merge(self.metrics)
-        for doc in sorted(docs, key=lambda d: d["session"]):
-            merged.merge_snapshot(doc["metrics"])
-        return merged
+            sessions = sorted(self._sessions.values(), key=lambda s: s.name)
+        return self._fold([s.last_doc for s in sessions if s.last_doc])[1]
 
     def prometheus_text(self, refresh: bool = False) -> str:
         """The ``/metrics`` scrape body (Prometheus text format)."""
@@ -1353,9 +1337,3 @@ class TelemetryServer:
         with self._log_lock:
             with open(self.config.log_path, "a", encoding="utf-8") as fh:
                 fh.write(f"[{time.strftime('%H:%M:%S')}] {line}\n")
-
-    def write_status(self, path) -> None:
-        """Write the query document as JSON (CI artifact helper)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.query_doc(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -12,10 +12,11 @@ the answer.
 Workers are the supervisor's long-lived pipe-connected processes
 (:class:`repro.analysis.supervisor.PipeWorker`) running
 :func:`_shard_main`: a request/response loop over ``open`` / ``events``
-/ ``sites`` / ``finalize`` / ``drop`` / ``ping`` / ``stop`` messages.
-An ``events`` message carries the chunk's binio-v2 document exactly as
-the client sent it; the worker is the one place it is decoded, to the
-columns its session replays.
+/ ``sites`` / ``finalize`` / ``trace`` messages (plus ``stop``), each
+dispatched by the one op table :class:`_HostTable` that inline mode
+calls directly.  An ``events`` message carries the chunk's binio-v2
+document exactly as the client sent it; the worker is the one place it
+is decoded, to the columns its session replays.
 Each session inside a worker is a :class:`SessionHost` — a detector with
 an attached :class:`~repro.obs.observer.RunObserver`, flight recorder,
 and an *exact* incremental
@@ -49,7 +50,7 @@ from typing import Dict, List, Optional
 from ..analysis.parallel import DETECTOR_FACTORIES
 from ..analysis.supervisor import PipeWorker
 from ..obs.observer import RunObserver
-from ..obs.provenance import DEFAULT_WINDOW, FlightRecorder, SyncIndexBuilder
+from ..obs.provenance import FlightRecorder, SyncIndexBuilder
 from ..obs.quality import build_coverage, sync_op_split
 from ..obs.reports import build_report
 from ..obs.tracing import PID_SHARD_BASE, SpanRecorder, chunk_flow_id
@@ -103,7 +104,6 @@ class SessionHost:
         session: str,
         detector_name: str = "fasttrack",
         backend: Optional[str] = None,
-        window: int = DEFAULT_WINDOW,
         trace_id: int = 0,
     ) -> None:
         factory = DETECTOR_FACTORIES.get(detector_name)
@@ -114,7 +114,7 @@ class SessionHost:
             )
         self.session = session
         self.detector = factory(backend=backend)
-        self.recorder = FlightRecorder(window=window)
+        self.recorder = FlightRecorder()
         self.observer = RunObserver(recorder=self.recorder)
         self.observer.attach(self.detector)
         self.sync_builder = SyncIndexBuilder()
@@ -191,7 +191,15 @@ class SessionHost:
 
 
 class _HostTable:
-    """The op dispatch shared by worker processes and inline mode.
+    """The shard op dispatch, shared by worker processes and inline mode.
+
+    :meth:`call` runs one op message — ``("open", session, detector,
+    backend, trace_id)``, ``("events", session, data, meta)``,
+    ``("sites", session, names)``, ``("finalize", session)`` or
+    ``("trace",)`` — and maps failures the same way in both modes: a
+    :class:`~repro.net.protocol.ProtocolError` (a chunk the client got
+    wrong) propagates so the parent can re-raise it by code, and
+    anything else becomes a :class:`ShardError`.
 
     Holds the worker's :class:`~repro.obs.tracing.SpanRecorder` (one per
     shard process, pid ``PID_SHARD_BASE + shard``): each applied chunk
@@ -201,12 +209,31 @@ class _HostTable:
     per event, so the detector hot loops are untouched.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW, shard: int = 0) -> None:
-        self.window = window
+    def __init__(self, shard: int = 0, chunk_delay: float = 0.0) -> None:
         self.shard = shard
+        self.chunk_delay = chunk_delay
         self.hosts: Dict[str, SessionHost] = {}
         self.recorder = SpanRecorder(pid=PID_SHARD_BASE + shard)
         self._tids: Dict[str, int] = {}
+        self._ops = {
+            "open": self.open,
+            "events": self.events,
+            "sites": self.sites,
+            "finalize": self.finalize,
+            "trace": self.trace_group,
+        }
+
+    def call(self, msg: tuple):
+        """Run one op message and return its result."""
+        handler = self._ops.get(msg[0])
+        if handler is None:
+            raise ShardError(f"unknown shard op {msg[0]!r}")
+        try:
+            return handler(*msg[1:])
+        except (ShardError, ProtocolError):
+            raise
+        except Exception as exc:
+            raise ShardError(f"{type(exc).__name__}: {exc}") from exc
 
     def _tid(self, session: str) -> int:
         tid = self._tids.get(session)
@@ -215,20 +242,24 @@ class _HostTable:
             self.recorder.thread_name(tid, session)
         return tid
 
-    def open(self, session: str, detector: str, backend: Optional[str],
-             trace_id: int = 0) -> None:
-        # idempotent: replay after a crash re-opens existing sessions
-        if session not in self.hosts:
-            self.hosts[session] = SessionHost(
-                session, detector, backend=backend, window=self.window,
-                trace_id=trace_id,
-            )
-
-    def events(self, session: str, data: bytes, meta=None) -> tuple:
+    def _host(self, session: str) -> SessionHost:
         host = self.hosts.get(session)
         if host is None:
             raise ShardError(f"no open session {session!r} on this shard")
-        meta = meta or {}
+        return host
+
+    def open(self, session: str, detector: str, backend: Optional[str],
+             trace_id: int) -> None:
+        # idempotent: replay after a crash re-opens existing sessions
+        if session not in self.hosts:
+            self.hosts[session] = SessionHost(
+                session, detector, backend=backend, trace_id=trace_id,
+            )
+
+    def events(self, session: str, data: bytes, meta: Dict) -> tuple:
+        host = self._host(session)
+        if self.chunk_delay > 0.0:
+            time.sleep(self.chunk_delay)
         start = self.recorder.begin()
         seen = host.detector._events_seen
         races = host.apply(data)
@@ -266,19 +297,10 @@ class _HostTable:
         return races, lag_us
 
     def sites(self, session: str, sites: Dict[int, str]) -> None:
-        host = self.hosts.get(session)
-        if host is None:
-            raise ShardError(f"no open session {session!r} on this shard")
-        host.add_sites(sites)
+        self._host(session).add_sites(sites)
 
     def finalize(self, session: str) -> Dict:
-        host = self.hosts.get(session)
-        if host is None:
-            raise ShardError(f"no open session {session!r} on this shard")
-        return host.finalize_doc()
-
-    def drop(self, session: str) -> None:
-        self.hosts.pop(session, None)
+        return self._host(session).finalize_doc()
 
     def trace_group(self) -> Dict:
         """This worker's span batch for the merged service trace."""
@@ -295,113 +317,47 @@ def _shard_main(
     shard: int = 0,
     crash_after: Optional[int] = None,
     chunk_delay: float = 0.0,
-    window: int = DEFAULT_WINDOW,
 ) -> None:
-    """Worker loop: serve session ops off the pipe until told to stop.
+    """Worker loop: serve :class:`_HostTable` ops off the pipe until told
+    to stop, wrapping each result or failure as a reply.
 
     ``crash_after=N`` kills the process (``CRASH_EXIT_CODE``) upon
     receiving its Nth ``events`` message, *before* analyzing the chunk —
     the parent sees EOF mid-request, exactly like a real worker death,
     and the not-yet-applied chunk is the one the server must retry.
     """
-    table = _HostTable(window=window, shard=shard)
+    table = _HostTable(shard=shard, chunk_delay=chunk_delay)
     events_messages = 0
     while True:
         try:
             msg = conn.recv()
         except (EOFError, OSError):  # pragma: no cover - parent vanished
             return
-        op = msg[0]
-        if op == "stop":
+        if msg[0] == "stop":
             return
+        if msg[0] == "events":
+            events_messages += 1
+            if crash_after is not None and events_messages >= crash_after:
+                os._exit(CRASH_EXIT_CODE)
         try:
-            if op == "open":
-                table.open(msg[1], msg[2], msg[3], msg[4] if len(msg) > 4 else 0)
-                conn.send(("ok", None))
-            elif op == "events":
-                if chunk_delay > 0.0:
-                    time.sleep(chunk_delay)
-                events_messages += 1
-                if crash_after is not None and events_messages >= crash_after:
-                    os._exit(CRASH_EXIT_CODE)
-                meta = msg[3] if len(msg) > 3 else None
-                conn.send(("ok", table.events(msg[1], msg[2], meta)))
-            elif op == "sites":
-                table.sites(msg[1], msg[2])
-                conn.send(("ok", None))
-            elif op == "finalize":
-                conn.send(("ok", table.finalize(msg[1])))
-            elif op == "drop":
-                table.drop(msg[1])
-                conn.send(("ok", None))
-            elif op == "ping":
-                conn.send(("ok", "pong"))
-            elif op == "trace":
-                conn.send(("ok", table.trace_group()))
-            else:
-                conn.send(("fail", f"unknown shard op {op!r}"))
+            conn.send(("ok", table.call(msg)))
         except ProtocolError as exc:
             # a chunk the client got wrong: the parent re-raises it by code
             conn.send(("error", exc.code, str(exc)))
-        except Exception as exc:
-            conn.send(("fail", f"{type(exc).__name__}: {exc}"))
+        except ShardError as exc:
+            conn.send(("fail", str(exc)))
 
 
 # -- parent side ---------------------------------------------------------------
-
-
-class _InlineShard:
-    """Same dispatch as a worker process, executed in-process."""
-
-    def __init__(
-        self,
-        chunk_delay: float = 0.0,
-        window: int = DEFAULT_WINDOW,
-        shard: int = 0,
-    ) -> None:
-        self.table = _HostTable(window=window, shard=shard)
-        self.chunk_delay = chunk_delay
-
-    def call(self, msg):
-        op = msg[0]
-        try:
-            if op == "open":
-                return self.table.open(
-                    msg[1], msg[2], msg[3], msg[4] if len(msg) > 4 else 0
-                )
-            if op == "events":
-                if self.chunk_delay > 0.0:
-                    time.sleep(self.chunk_delay)
-                return self.table.events(
-                    msg[1], msg[2], msg[3] if len(msg) > 3 else None
-                )
-            if op == "sites":
-                return self.table.sites(msg[1], msg[2])
-            if op == "finalize":
-                return self.table.finalize(msg[1])
-            if op == "drop":
-                return self.table.drop(msg[1])
-            if op == "ping":
-                return "pong"
-            if op == "trace":
-                return self.table.trace_group()
-        except (ShardError, ProtocolError):
-            raise
-        except Exception as exc:
-            raise ShardError(f"{type(exc).__name__}: {exc}") from exc
-        raise ShardError(f"unknown shard op {op!r}")
-
-    def stop(self) -> None:
-        self.table.hosts.clear()
 
 
 class ShardPool:
     """Parent-side handle on the detector worker tier.
 
     ``mode="process"`` spawns one :class:`PipeWorker` per shard;
-    ``mode="inline"`` runs the identical dispatch in-process (no
-    isolation, no crash recovery — but byte-identical analysis, which
-    the parity suite exploits to pin both paths).  All public methods
+    ``mode="inline"`` calls the identical :class:`_HostTable` in-process
+    (no isolation, no crash recovery — but byte-identical analysis,
+    which the parity suite exploits to pin both paths).  All public methods
     are thread-safe; a dead worker surfaces as :class:`ShardCrashed`
     and :meth:`recover` brings up a *clean* replacement (any injected
     crash plan applies to a shard's first process only) and replays the
@@ -412,7 +368,6 @@ class ShardPool:
         self,
         n_shards: int = 2,
         mode: str = "process",
-        window: int = DEFAULT_WINDOW,
         chunk_delay: float = 0.0,
         crash_plan: Optional[Dict[int, int]] = None,
     ) -> None:
@@ -422,7 +377,6 @@ class ShardPool:
             raise ValueError(f"mode must be 'process' or 'inline', got {mode!r}")
         self.n_shards = n_shards
         self.mode = mode
-        self.window = window
         self.chunk_delay = chunk_delay
         self.worker_restarts = 0
         #: restarts per shard, for health/quarantine gauges
@@ -430,8 +384,8 @@ class ShardPool:
         self._locks = [threading.Lock() for _ in range(n_shards)]
         self._stopped = False
         if mode == "inline":
-            self._inline: List[_InlineShard] = [
-                _InlineShard(chunk_delay=chunk_delay, window=window, shard=shard)
+            self._inline = [
+                _HostTable(shard=shard, chunk_delay=chunk_delay)
                 for shard in range(n_shards)
             ]
             self._workers: List[Optional[PipeWorker]] = []
@@ -445,9 +399,7 @@ class ShardPool:
 
     def _spawn(self, shard: int, crash_after: Optional[int]) -> PipeWorker:
         return PipeWorker(
-            self._ctx,
-            _shard_main,
-            (shard, crash_after, self.chunk_delay, self.window),
+            self._ctx, _shard_main, (shard, crash_after, self.chunk_delay)
         )
 
     def shard_of(self, session: str) -> int:
@@ -474,7 +426,8 @@ class ShardPool:
             raise error_for_code(reply[1], reply[2])
         return reply[1]
 
-    def _call(self, shard: int, msg):
+    def call(self, shard: int, msg):
+        """One raw op message (see :class:`_HostTable`) on ``shard``."""
         with self._locks[shard]:
             if self.mode == "inline":
                 return self._inline[shard].call(msg)
@@ -514,11 +467,11 @@ class ShardPool:
         backend: Optional[str] = None,
         trace_id: int = 0,
     ) -> None:
-        self._call(
+        self.call(
             self.shard_of(session), ("open", session, detector, backend, trace_id)
         )
 
-    def apply(self, session: str, data: bytes, meta: Optional[Dict] = None):
+    def apply(self, session: str, data: bytes, meta: Dict):
         """Analyze one chunk, given as its binio-v2 document.
 
         Returns ``(races, lag_us)``: the session's race count so far and
@@ -528,19 +481,13 @@ class ShardPool:
         document whose events do not decode raises
         :class:`~repro.net.protocol.PayloadError`; nothing is applied.
         """
-        return self._call(self.shard_of(session), ("events", session, data, meta))
+        return self.call(self.shard_of(session), ("events", session, data, meta))
 
     def add_sites(self, session: str, sites: Dict[int, str]) -> None:
-        self._call(self.shard_of(session), ("sites", session, dict(sites)))
+        self.call(self.shard_of(session), ("sites", session, dict(sites)))
 
     def finalize(self, session: str) -> Dict:
-        return self._call(self.shard_of(session), ("finalize", session))
-
-    def drop(self, session: str) -> None:
-        self._call(self.shard_of(session), ("drop", session))
-
-    def ping(self, shard: int) -> bool:
-        return self._call(shard, ("ping",)) == "pong"
+        return self.call(self.shard_of(session), ("finalize", session))
 
     def alive(self, shard: int) -> bool:
         """Liveness without a pipe round trip (process-table check)."""
@@ -550,7 +497,7 @@ class ShardPool:
 
     def trace(self, shard: int) -> Dict:
         """The shard worker's span batch (pid, name, events, dropped)."""
-        return self._call(shard, ("trace",))
+        return self.call(shard, ("trace",))
 
     def trace_groups(self) -> List[Dict]:
         """Span batches from every live shard; dead shards are skipped.
@@ -571,8 +518,8 @@ class ShardPool:
             return
         self._stopped = True
         if self.mode == "inline":
-            for shard in self._inline:
-                shard.stop()
+            for table in self._inline:
+                table.hosts.clear()
             return
         for worker in self._workers:
             worker.stop()

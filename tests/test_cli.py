@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import DETECTORS, main
@@ -36,6 +38,21 @@ class TestRecordAnalyze:
         path = tmp_path / "t.pacr"
         main(["record", "pseudojbb", str(path), "--scale", "0.15", "--format", "binary"])
         assert main(["analyze", str(path)]) == 0
+
+    def test_batch_analyze_never_reads_the_whole_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the format sniff reads four bytes and the column reader maps
+        # the file, so no whole-file copy enters the Python heap
+        path = tmp_path / "t.pacr"
+        main(["record", "pseudojbb", str(path), "--scale", "0.15", "--format", "binary"])
+
+        def no_copy(self):
+            raise AssertionError(f"whole-file read of {self}")
+
+        monkeypatch.setattr(Path, "read_bytes", no_copy)
+        assert main(["analyze", str(path), "--batch"]) == 0
+        assert "race reports" in capsys.readouterr().out
 
     def test_fail_on_race_exit_code(self, tmp_path):
         path = tmp_path / "racy.txt"

@@ -81,12 +81,6 @@ def test_run_matrix_output_independent_of_jobs():
     assert [s.counters for s in sequential] == [s.counters for s in fanned]
 
 
-def test_run_matrix_output_independent_of_shard_count():
-    one_big_shard = run_matrix(TASKS, jobs=2, shards_per_job=1)
-    many_shards = run_matrix(TASKS, jobs=2, shards_per_job=6)
-    assert one_big_shard == many_shards
-
-
 def test_run_matrix_output_independent_of_task_order():
     forward = run_matrix(TASKS, jobs=2)
     shuffled = list(TASKS)
