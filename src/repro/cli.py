@@ -114,7 +114,7 @@ from .trace.binio import (
 )
 from .trace.oracle import HBOracle
 from .trace.textio import dump_trace, load_trace
-from .trace.trace import Trace, TraceError, TraceFormatError
+from .trace.trace import FeasibilityChecker, Trace, TraceError, TraceFormatError
 from .util.faults import FAULT_PLAN_ENV, FaultPlan, FaultPlanError
 
 __all__ = ["main", "DETECTORS"]
@@ -132,19 +132,32 @@ class _UsageError(Exception):
     """A bad flag combination: :func:`main` prints it and exits 2."""
 
 
+class _BadTrace(Exception):
+    """A trace a command cannot use: :func:`main` prints it and exits 3."""
+
+
 def _load(path: Path, fmt: str, columns: bool = False):
-    """Read a trace file; ``fmt="auto"`` sniffs the first four bytes.
+    """Read a trace file and check its feasibility in whichever form it
+    is read; ``fmt="auto"`` sniffs the first four bytes.
 
     ``columns=True`` maps a binary trace straight into an
     :class:`~repro.trace.batch.EventBatch` (zero-copy mmap decode)
-    instead of building a :class:`Trace`.
+    instead of building a :class:`Trace`.  Raises :class:`_BadTrace`.
     """
-    if fmt == "auto":
-        with open(path, "rb") as fh:
-            fmt = "binary" if fh.read(4) == MAGIC else "text"
-    if fmt == "binary":
-        return load_trace_columns(path) if columns else load_trace_binary(path)
-    return load_trace(path)
+    try:
+        if fmt == "auto":
+            with open(path, "rb") as fh:
+                fmt = "binary" if fh.read(4) == MAGIC else "text"
+        if fmt != "binary":
+            return load_trace(path)
+        if not columns:
+            return load_trace_binary(path)
+        batch = load_trace_columns(path)
+        # to_list_columns caches the lists the kernels then replay
+        FeasibilityChecker().check(0, *batch.to_list_columns())
+        return batch
+    except (OSError, TraceFormatError, TraceError) as exc:
+        raise _BadTrace(f"cannot use trace {path}: {exc}") from None
 
 
 def _dump(trace, path: Path, fmt: str) -> None:
@@ -882,16 +895,10 @@ def cmd_verify_trace(args) -> int:
     path = Path(args.trace)
     try:
         data = path.read_bytes()
-    except OSError as exc:
-        print(f"FAIL {path}: {exc}", file=sys.stderr)
-        return 1
-    try:
         if data[:4] == MAGIC:
             info = describe_binary(data, validate=args.validate)
         else:
-            trace = load_trace(path)
-            if args.validate:
-                trace.validate()
+            trace = load_trace(path, validate=args.validate)
             info = {
                 "format": "text",
                 "version": None,
@@ -900,7 +907,7 @@ def cmd_verify_trace(args) -> int:
                 "crc32": None,
                 "checksummed": False,
             }
-    except (TraceFormatError, TraceError) as exc:
+    except (OSError, TraceFormatError, TraceError) as exc:
         if args.json:
             _write_json({"command": "verify-trace", "trace": str(path),
                          "ok": False, "error": str(exc)})
@@ -1650,6 +1657,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except _BadTrace as exc:
+        print(exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

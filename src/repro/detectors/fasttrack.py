@@ -2,7 +2,8 @@
 
 FASTTRACK replaces the write vector with an *epoch* and the read vector
 with an epoch-or-map *read map*, making nearly all access analysis O(1).
-Synchronization analysis is unchanged from GENERIC (O(n)).
+Synchronization analysis is unchanged from GENERIC (O(n)): it is
+inherited from :class:`~repro.detectors.generic.VectorClockDetector`.
 
 Following the paper's §2.2 modification, our FASTTRACK clears the read
 map when a write supersedes it ("New: clear read map" in Algorithm 8);
@@ -13,7 +14,6 @@ lifecycle with PACER's.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, Optional
 
 from ..core.backend import PackedVarStore
@@ -22,6 +22,7 @@ from ..core.engine import fasttrack_kernel
 from ..core.metadata import VarState, footprint_words
 from ..trace.batch import EventBatch
 from .base import Detector, READ_WRITE, WRITE_READ, WRITE_WRITE
+from .generic import VectorClockDetector
 
 __all__ = ["FastTrackDetector"]
 
@@ -30,7 +31,7 @@ _RD = (0,)
 _WR = (1,)
 
 
-class FastTrackDetector(Detector):
+class FastTrackDetector(VectorClockDetector):
     """Sound and precise detector with O(1) common-case access analysis.
 
     Per-variable state lives behind the state-backend seam: the
@@ -44,9 +45,6 @@ class FastTrackDetector(Detector):
 
     def __init__(self, backend: Optional[str] = None) -> None:
         super().__init__(backend)
-        self._thread_clock: Dict[int, VectorClock] = {}
-        self._lock_clock: Dict[int, VectorClock] = {}
-        self._vol_clock: Dict[int, VectorClock] = {}
         if self.backend_name == "packed":
             self._arena: Optional[PackedVarStore] = PackedVarStore()
             self._vars: Optional[Dict[int, VarState]] = None
@@ -55,15 +53,6 @@ class FastTrackDetector(Detector):
             self._vars = {}
 
     # -- metadata helpers -------------------------------------------------
-
-    def _clock_of(self, tid: int) -> VectorClock:
-        clock = self._thread_clock.get(tid)
-        if clock is None:
-            clock = VectorClock()
-            clock.increment(tid)
-            self._thread_clock[tid] = clock
-            self.counters.words_allocated += 2
-        return clock
 
     def _var(self, var: int) -> VarState:
         state = self._vars.get(var)
@@ -164,60 +153,6 @@ class FastTrackDetector(Detector):
         kinds, tids, targets, sites = batch.to_list_columns()
         fasttrack_kernel(self, kinds, tids, targets, sites, self._events_seen)
 
-    # -- synchronization (same as GENERIC) ----------------------------------------
-
-    def acquire(self, tid: int, lock: int) -> None:
-        clock = self._clock_of(tid)
-        lock_clock = self._lock_clock.get(lock)
-        if lock_clock is not None:
-            clock.join(lock_clock)
-        self.counters.joins_slow_sampling += 1
-
-    def release(self, tid: int, lock: int) -> None:
-        clock = self._clock_of(tid)
-        self._lock_clock[lock] = clock.copy()
-        self.counters.copies_deep_sampling += 1
-        self.counters.words_allocated += 1 + len(clock)
-        clock.increment(tid)
-        self.counters.increments += 1
-
-    def fork(self, tid: int, child: int) -> None:
-        clock = self._clock_of(tid)
-        child_clock = clock.copy()
-        child_clock.increment(child)
-        self._thread_clock[child] = child_clock
-        self.counters.copies_deep_sampling += 1
-        self.counters.words_allocated += 1 + len(child_clock)
-        clock.increment(tid)
-        self.counters.increments += 2
-
-    def join(self, tid: int, child: int) -> None:
-        clock = self._clock_of(tid)
-        child_clock = self._clock_of(child)
-        clock.join(child_clock)
-        self.counters.joins_slow_sampling += 1
-        child_clock.increment(child)
-        self.counters.increments += 1
-
-    def vol_read(self, tid: int, vol: int) -> None:
-        clock = self._clock_of(tid)
-        vol_clock = self._vol_clock.get(vol)
-        if vol_clock is not None:
-            clock.join(vol_clock)
-        self.counters.joins_slow_sampling += 1
-
-    def vol_write(self, tid: int, vol: int) -> None:
-        clock = self._clock_of(tid)
-        vol_clock = self._vol_clock.get(vol)
-        if vol_clock is None:
-            vol_clock = VectorClock()
-            self._vol_clock[vol] = vol_clock
-            self.counters.words_allocated += 1
-        vol_clock.join(clock)
-        self.counters.joins_slow_sampling += 1
-        clock.increment(tid)
-        self.counters.increments += 1
-
     # -- accounting ----------------------------------------------------------
 
     @property
@@ -239,23 +174,11 @@ class FastTrackDetector(Detector):
 
     def max_clock_entries(self) -> int:
         """Largest live vector clock across threads, locks, volatiles."""
-        best = 0
-        for table in (self._thread_clock, self._lock_clock, self._vol_clock):
-            for clock in table.values():
-                if len(clock) > best:
-                    best = len(clock)
-        return best
+        return max(map(len, self._sync_clocks()), default=0)
 
     def footprint_words(self) -> int:
         if self._arena is not None:
             var_words = self._arena.words()
         else:
             var_words = sum(state.words() for state in self._vars.values())
-        return footprint_words(
-            var_words,
-            chain(
-                self._thread_clock.values(),
-                self._lock_clock.values(),
-                self._vol_clock.values(),
-            ),
-        )
+        return footprint_words(var_words, self._sync_clocks())

@@ -5,18 +5,21 @@ synchronization object keeps a vector clock.  All analysis is O(n) in
 the number of threads — this is the baseline FASTTRACK and PACER improve
 on, and it doubles as the reference implementation for the happens-before
 oracle tests (it is sound and precise, merely slow).
+
+GENERIC's synchronization (Algorithms 1-4, 14-15) lives in
+:class:`VectorClockDetector`, which FASTTRACK extends too.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..core.clocks import VectorClock
 from ..core.metadata import footprint_words
 from .base import Detector, READ_WRITE, WRITE_READ, WRITE_WRITE
 
-__all__ = ["GenericDetector"]
+__all__ = ["GenericDetector", "VectorClockDetector"]
 
 
 class _AccessVector:
@@ -50,24 +53,19 @@ class _VarVectors:
         self.writes = _AccessVector()
 
 
-class GenericDetector(Detector):
-    """Sound and precise detector with O(n) analysis everywhere.
+class VectorClockDetector(Detector):
+    """GENERIC's synchronization: one vector clock per thread, lock and
+    volatile, joined and copied in O(n) (Algorithms 1-4, 14-15).
 
-    GENERIC's full read/write vectors have no epoch-compressible layout,
-    so both state backends share this one representation; ``backend`` is
-    accepted (and carried as a label) for a uniform construction API.
+    GENERIC and FASTTRACK extend it, and Djit+ and LiteRace through
+    them; each adds only its per-variable access analysis.
     """
-
-    name = "generic"
 
     def __init__(self, backend: Optional[str] = None) -> None:
         super().__init__(backend)
         self._thread_clock: Dict[int, VectorClock] = {}
         self._lock_clock: Dict[int, VectorClock] = {}
         self._vol_clock: Dict[int, VectorClock] = {}
-        self._vars: Dict[int, _VarVectors] = {}
-
-    # -- metadata helpers ----------------------------------------------------
 
     def _clock_of(self, tid: int) -> VectorClock:
         clock = self._thread_clock.get(tid)
@@ -78,37 +76,13 @@ class GenericDetector(Detector):
             self.counters.words_allocated += 2
         return clock
 
-    def _var(self, var: int) -> _VarVectors:
-        state = self._vars.get(var)
-        if state is None:
-            state = _VarVectors()
-            self._vars[var] = state
-            self.counters.words_allocated += 2
-        return state
-
-    # -- accesses (Algorithms 5 and 6) -----------------------------------------
-
-    def read(self, tid: int, var: int, site: int = 0) -> None:
-        self.counters.reads_slow_sampling += 1
-        clock = self._clock_of(tid)
-        state = self._var(var)
-        for u, c, s, i in state.writes.racing(clock):
-            self.report(var, WRITE_READ, u, c, s, tid, site, first_index=i)
-        state.reads.record(tid, clock.get(tid), site, self.now)
-        self.counters.words_allocated += 2
-
-    def write(self, tid: int, var: int, site: int = 0) -> None:
-        self.counters.writes_slow_sampling += 1
-        clock = self._clock_of(tid)
-        state = self._var(var)
-        for u, c, s, i in state.writes.racing(clock):
-            self.report(var, WRITE_WRITE, u, c, s, tid, site, first_index=i)
-        for u, c, s, i in state.reads.racing(clock):
-            self.report(var, READ_WRITE, u, c, s, tid, site, first_index=i)
-        state.writes.record(tid, clock.get(tid), site, self.now)
-        self.counters.words_allocated += 2
-
-    # -- synchronization (Algorithms 1-4, 14-15) ---------------------------------
+    def _sync_clocks(self) -> Iterator[VectorClock]:
+        """Every live thread, lock and volatile clock."""
+        return chain(
+            self._thread_clock.values(),
+            self._lock_clock.values(),
+            self._vol_clock.values(),
+        )
 
     def acquire(self, tid: int, lock: int) -> None:
         clock = self._clock_of(tid)
@@ -162,6 +136,53 @@ class GenericDetector(Detector):
         clock.increment(tid)
         self.counters.increments += 1
 
+
+class GenericDetector(VectorClockDetector):
+    """Sound and precise detector with O(n) analysis everywhere.
+
+    GENERIC's full read/write vectors have no epoch-compressible layout,
+    so both state backends share this one representation; ``backend`` is
+    accepted (and carried as a label) for a uniform construction API.
+    """
+
+    name = "generic"
+
+    def __init__(self, backend: Optional[str] = None) -> None:
+        super().__init__(backend)
+        self._vars: Dict[int, _VarVectors] = {}
+
+    # -- metadata helpers ----------------------------------------------------
+
+    def _var(self, var: int) -> _VarVectors:
+        state = self._vars.get(var)
+        if state is None:
+            state = _VarVectors()
+            self._vars[var] = state
+            self.counters.words_allocated += 2
+        return state
+
+    # -- accesses (Algorithms 5 and 6) -----------------------------------------
+
+    def read(self, tid: int, var: int, site: int = 0) -> None:
+        self.counters.reads_slow_sampling += 1
+        clock = self._clock_of(tid)
+        state = self._var(var)
+        for u, c, s, i in state.writes.racing(clock):
+            self.report(var, WRITE_READ, u, c, s, tid, site, first_index=i)
+        state.reads.record(tid, clock.get(tid), site, self.now)
+        self.counters.words_allocated += 2
+
+    def write(self, tid: int, var: int, site: int = 0) -> None:
+        self.counters.writes_slow_sampling += 1
+        clock = self._clock_of(tid)
+        state = self._var(var)
+        for u, c, s, i in state.writes.racing(clock):
+            self.report(var, WRITE_WRITE, u, c, s, tid, site, first_index=i)
+        for u, c, s, i in state.reads.racing(clock):
+            self.report(var, READ_WRITE, u, c, s, tid, site, first_index=i)
+        state.writes.record(tid, clock.get(tid), site, self.now)
+        self.counters.words_allocated += 2
+
     # -- accounting -----------------------------------------------------------
 
     def footprint_words(self) -> int:
@@ -170,9 +191,5 @@ class GenericDetector(Detector):
                 state.reads.words() + state.writes.words()
                 for state in self._vars.values()
             ),
-            chain(
-                self._thread_clock.values(),
-                self._lock_clock.values(),
-                self._vol_clock.values(),
-            ),
+            self._sync_clocks(),
         )

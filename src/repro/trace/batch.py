@@ -21,6 +21,7 @@ metadata footprints.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Sequence
 
 from .events import Event, ID_TO_KIND, KIND_TO_ID
@@ -83,23 +84,21 @@ class EventBatch:
     def from_events(cls, events: Iterable[Event]) -> "EventBatch":
         """Encode events into one batch (raises on unknown kinds).
 
-        Events are tuples, so ``zip(*events)`` transposes rows into the
-        four columns at C speed and ``map`` translates the kind column
-        through the id table without a per-event Python frame.
+        Events are tuples, so one ``map(itemgetter(i), rows)`` pass per
+        field (several times faster than ``zip(*rows)`` on whole traces)
+        and a ``map`` through the kind-id table build the columns at C
+        speed, without a per-event Python frame.
         """
         rows = events if isinstance(events, (list, tuple)) else list(events)
-        if not rows:
-            return cls([], [], [], [])
-        kind_names, tids, targets, sites = zip(*rows)
         try:
-            kinds = list(map(KIND_TO_ID.__getitem__, kind_names))
+            kinds = list(map(KIND_TO_ID.__getitem__, map(itemgetter(0), rows)))
         except KeyError as exc:
             raise ValueError(f"unknown event kind: {exc.args[0]!r}") from None
         batch = cls.__new__(cls)
         batch.kinds = kinds
-        batch.tids = list(tids)
-        batch.targets = list(targets)
-        batch.sites = list(sites)
+        batch.tids = list(map(itemgetter(1), rows))
+        batch.targets = list(map(itemgetter(2), rows))
+        batch.sites = list(map(itemgetter(3), rows))
         batch._npcols = None
         return batch
 
@@ -175,10 +174,8 @@ class EventBatch:
         return len(self.kinds)
 
     def __iter__(self) -> Iterator[Event]:
-        id_to_kind = ID_TO_KIND
         kinds, tids, targets, sites = self.to_list_columns()
-        for kid, tid, target, site in zip(kinds, tids, targets, sites):
-            yield Event(id_to_kind[kid], tid, target, site)
+        return map(Event, map(ID_TO_KIND.__getitem__, kinds), tids, targets, sites)
 
     def to_events(self) -> List[Event]:
         """Decode back into a list of :class:`Event` records."""

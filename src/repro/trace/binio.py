@@ -37,8 +37,9 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from .batch import EventBatch
 from .events import Event, ID_TO_KIND, KIND_TO_ID, SBEGIN, SEND
-from .trace import Trace, TraceFormatError
+from .trace import FeasibilityChecker, Trace, TraceError, TraceFormatError
 
 __all__ = [
     "dump_trace_binary",
@@ -73,9 +74,8 @@ _N_KINDS = len(ID_TO_KIND)
 _SBEGIN_ID = KIND_TO_ID[SBEGIN]
 _SEND_ID = KIND_TO_ID[SEND]
 
-# historical aliases from when the numbering lived in this module
+# historical alias from when the numbering lived in this module
 _KIND_TO_ID = KIND_TO_ID
-_ID_TO_KIND = ID_TO_KIND
 
 #: decoded records as parallel lists: kind ids, tids, targets, sites
 Columns = Tuple[List[int], List[int], List[int], List[int]]
@@ -334,39 +334,32 @@ def _events(kinds, tids, targets, sites) -> List[Event]:
     return list(map(Event, map(ID_TO_KIND.__getitem__, kinds), tids, targets, sites))
 
 
-def _decode_document(data: bytes) -> Columns:
-    """A whole document's records, checked in the readers' order: header,
-    event count, records, exact fill, then (v2+) the CRC32 trailer."""
-    version, count, pos, end = _parse_count(data)
-    columns, pos = _decode_columns(data, count, pos, end)
-    _check_filled(pos, end)
-    if version >= 2:
-        _check_crc(data)
-    return columns
-
-
 def loads_binary(data: bytes, validate: bool = True) -> Trace:
     """Parse the binary format into a :class:`Trace`.
 
     Raises :class:`TraceFormatError` on any structural problem and (when
     ``validate`` is on) :class:`~repro.trace.trace.TraceError` if the
-    decoded events are not a feasible trace.  Checks run in
-    :func:`_decode_document`'s order; the records are decoded a block at
-    a time.
+    decoded events are not a feasible trace.  Records are decoded and
+    checked a block at a time; a format error, in
+    :func:`_decode_document`'s order, outranks a feasibility error.
     """
     version, count, pos, end = _parse_count(data)
+    checker = FeasibilityChecker() if validate else None
     events: List[Event] = []
     for first in range(0, count, _EVENT_BLOCK):
         columns, pos = _decode_columns(
             data, min(_EVENT_BLOCK, count - first), pos, end)
+        if checker is not None:
+            try:
+                checker.check(first, *columns)
+            except TraceError:
+                _decode_document(data)  # a format error outranks it
+                raise
         events += _events(*columns)
     _check_filled(pos, end)
     if version >= 2:
         _check_crc(data)
-    trace = Trace(events)
-    if validate:
-        trace.validate()
-    return trace
+    return Trace(events)
 
 
 def check_binary(data: bytes) -> int:
@@ -398,6 +391,14 @@ def decode_binary_columns(data: bytes) -> Columns:
     return columns
 
 
+def _decode_document(data: bytes) -> Columns:
+    """A whole document's records, checked in the readers' order: header,
+    event count, records, exact fill, then (v2+) the CRC32 trailer."""
+    columns = decode_binary_columns(data)
+    check_binary(data)
+    return columns
+
+
 def decode_binary_events(data: bytes) -> List[Event]:
     """:func:`decode_binary_columns`, as :class:`Event` records."""
     return _events(*decode_binary_columns(data))
@@ -422,61 +423,51 @@ def decode_binary_events(data: bytes) -> List[Event]:
 # when a fully clean vectorized decode agrees with the format's
 # sequential grammar.
 
-def _columns_fallback(data, validate: bool):
+def _columns_fallback(data):
     """Decode with the scalar record decoder (exact errors) into a batch."""
-    from .batch import EventBatch
-
-    columns = _decode_document(bytes(data))
-    if validate:
-        Trace(_events(*columns)).validate()
-    return EventBatch.from_columns(*columns)
+    return EventBatch.from_columns(*_decode_document(bytes(data)))
 
 
-def loads_binary_columns(data, validate: bool = False):
+def loads_binary_columns(data):
     """Parse a binary trace into a columnar :class:`EventBatch`.
 
     Accepts any bytes-like object (``bytes``, ``memoryview``, ``mmap``).
     Structural integrity — magic, version, varint well-formedness, event
     count, CRC32 trailer — is always enforced, with the same exceptions
-    as :func:`loads_binary`.  Trace *feasibility* validation needs
-    materialized events, so it is off by default here; pass
-    ``validate=True`` to pay for it (the scalar path is used then).
+    as :func:`loads_binary`.  It only decodes: feasibility is checked by
+    :class:`~repro.trace.trace.FeasibilityChecker` on the list columns.
 
     Requires numpy for the vectorized path; without it the scalar reader
     is used transparently.
     """
-    from .batch import EventBatch
-
-    if validate:
-        return _columns_fallback(data, validate)
     try:
         import numpy as np
     except ImportError:  # pragma: no cover - exercised via gating tests
-        return _columns_fallback(data, validate)
+        return _columns_fallback(data)
 
     view = memoryview(data)
     try:
         version, pos, end = _parse_header(view)
         count, pos = _read_varint(view, pos, end)
     except TraceFormatError:
-        return _columns_fallback(data, validate)
+        return _columns_fallback(data)
     if version >= 2 and zlib.crc32(view[:-_CRC_BYTES]) != int.from_bytes(
         view[-_CRC_BYTES:], "little"
     ):
         # scalar reader decides whether a structural error outranks the
         # CRC mismatch, keeping the error order identical
-        return _columns_fallback(data, validate)
+        return _columns_fallback(data)
     if count == 0:
         if pos != end:
-            return _columns_fallback(data, validate)
+            return _columns_fallback(data)
         return EventBatch([], [], [], [])
     if pos >= end or count > end - pos:
-        return _columns_fallback(data, validate)
+        return _columns_fallback(data)
 
     b = np.frombuffer(view, dtype=np.uint8, count=end - pos, offset=pos)
     term = (b & 0x80) == 0
     if not term[-1]:  # payload ends mid-varint
-        return _columns_fallback(data, validate)
+        return _columns_fallback(data)
     nb = len(b)
     starts = np.empty(nb, dtype=bool)
     starts[0] = True
@@ -487,7 +478,7 @@ def loads_binary_columns(data, validate: bool = False):
     if int(k.max()) > 4:
         # values >= 2^35 (or varints longer than the 64-bit limit):
         # rare enough that the scalar reader both decodes and errors them
-        return _columns_fallback(data, validate)
+        return _columns_fallback(data)
     vals = (b & 0x7F).astype(np.int64) << (7 * k)
     cs = np.cumsum(vals)
     tpos = np.flatnonzero(term)
@@ -506,10 +497,10 @@ def loads_binary_columns(data, validate: bool = False):
             markers.append(c)
             cur = c + 1
     if (M - cur) % 4:
-        return _columns_fallback(data, validate)
+        return _columns_fallback(data)
     n_records = len(markers) + (M - len(markers)) // 4
     if n_records != count:
-        return _columns_fallback(data, validate)
+        return _columns_fallback(data)
 
     if markers:
         parts = []
@@ -525,7 +516,7 @@ def loads_binary_columns(data, validate: bool = False):
 
     kinds = V[rs]
     if int(kinds.max()) >= _N_KINDS:
-        return _columns_fallback(data, validate)
+        return _columns_fallback(data)
     ismk = (kinds == _SBEGIN_ID) | (kinds == _SEND_ID)
     lim = M - 1
     tids = np.where(ismk, -1, V[np.minimum(rs + 1, lim)] - 1)
@@ -537,13 +528,13 @@ def loads_binary_columns(data, validate: bool = False):
     )
 
 
-def load_trace_columns(path: Union[str, Path], validate: bool = False):
+def load_trace_columns(path: Union[str, Path]):
     """Read a binary trace file into a columnar :class:`EventBatch`.
 
     The file is ``mmap``-ed read-only and decoded in place — the raw
     bytes are never copied into the Python heap; only the four decoded
-    integer columns are materialized.  Error behavior and the
-    ``validate`` switch match :func:`loads_binary_columns`.
+    integer columns are materialized.  Error behavior matches
+    :func:`loads_binary_columns`.
     """
     import mmap
 
@@ -551,11 +542,11 @@ def load_trace_columns(path: Union[str, Path], validate: bool = False):
         size = fh.seek(0, 2)
         if size == 0:
             # mmap rejects empty files; the scalar reader owns the error
-            return _columns_fallback(b"", validate)
+            return _columns_fallback(b"")
         mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         try:
             try:
-                return loads_binary_columns(mm, validate=validate)
+                return loads_binary_columns(mm)
             except TraceFormatError:
                 # the traceback pins buffer views into the map; copy out
                 # and re-raise from plain bytes so the map can close
@@ -565,26 +556,28 @@ def load_trace_columns(path: Union[str, Path], validate: bool = False):
                 mm.close()
             except BufferError:  # pragma: no cover - freed by the GC then
                 pass
-    return _columns_fallback(data, validate)
+    return _columns_fallback(data)
 
 
 def describe_binary(data: bytes, validate: bool = False) -> Dict[str, object]:
     """Fully check a binary trace and report what was found.
 
     Runs every structural check :func:`loads_binary` runs (plus trace
-    feasibility when ``validate`` is set) and returns a summary dict —
-    the engine behind ``repro verify-trace``.  Raises
-    :class:`TraceFormatError` on the first integrity problem.
+    feasibility when ``validate`` is set, on the decoded columns) and
+    returns a summary dict — the engine behind ``repro verify-trace``.
+    Raises :class:`TraceFormatError` on the first integrity problem.
     """
     version, _, _ = _parse_header(data)
-    trace = loads_binary(data, validate=validate)
+    columns = _decode_document(data)
+    if validate:
+        FeasibilityChecker().check(0, *columns)
     crc: Optional[str] = None
     if version >= 2:
         crc = f"0x{int.from_bytes(data[-_CRC_BYTES:], 'little'):08x}"
     return {
         "format": "binary",
         "version": version,
-        "events": len(trace),
+        "events": len(columns[0]),
         "bytes": len(data),
         "crc32": crc,
         "checksummed": version >= 2,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from .events import (
     Event,
@@ -86,7 +86,6 @@ def random_trace(config: Optional[GeneratorConfig] = None, **overrides) -> Trace
         events.append(fork(0, child))
 
     live = [0] + workers
-    held: Dict[int, List[int]] = {t: [] for t in live}  # lock stacks
     sampling = False
     site_of = lambda tid, var, is_write: (  # noqa: E731 - tiny site encoder
         (var * 2 + (1 if is_write else 0)) * n + tid
@@ -111,12 +110,10 @@ def random_trace(config: Optional[GeneratorConfig] = None, **overrides) -> Trace
         site = site_of(tid, var, is_write)
         if lock is not None:
             events.append(acq(tid, lock + 1000))
-            held[tid].append(lock + 1000)
         events.append(
             wr(tid, var, site) if is_write else rd(tid, var, site)
         )
         if lock is not None:
-            held[tid].pop()
             events.append(rel(tid, lock + 1000))
 
     if sampling:

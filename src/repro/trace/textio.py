@@ -65,10 +65,7 @@ def loads_trace(text: str, validate: bool = True) -> Trace:
         if not line:
             continue
         events.append(_parse_line(line, lineno))
-    trace = Trace(events)
-    if validate:
-        trace.validate()
-    return trace
+    return Trace.from_iterable(events, validate)
 
 
 def dump_trace(events: Iterable[Event], path: Union[str, Path]) -> None:
@@ -78,4 +75,8 @@ def dump_trace(events: Iterable[Event], path: Union[str, Path]) -> None:
 
 def load_trace(path: Union[str, Path], validate: bool = True) -> Trace:
     """Read a trace file written by :func:`dump_trace`."""
-    return loads_trace(Path(path).read_text(), validate=validate)
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"not a text trace: {exc}") from None
+    return loads_trace(text, validate=validate)
