@@ -60,10 +60,8 @@ def record_sampled_log(
     """
     recorder = _Recorder(burst_length, min_rate, seed)
     for event in events:
-        if event.kind in ACCESS_KINDS:
-            recorder.apply(event)
-        else:
-            recorder.apply(event)
+        recorder.apply(event)
+        if event.kind not in ACCESS_KINDS:
             recorder.log.append(event)
     return Trace(recorder.log), recorder.effective_rate
 

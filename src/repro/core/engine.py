@@ -11,6 +11,9 @@ path with whole columns:
   run-bulking loop :func:`pacer_kernel` calls for every access it cannot
   retire in bulk.
 
+Both kernels hand synchronization and period events to the detector's
+one switch, :meth:`~repro.detectors.base.Detector._sync`.
+
 Everything here works on :class:`~repro.core.backend.PackedVarStore`
 arrays: epochs are packed ints (:func:`~repro.core.clocks.pack_epoch`),
 ``0`` is ⊥e, and :data:`~repro.core.backend.READ_SHARED` marks an
@@ -162,32 +165,9 @@ def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
                 words += 2
         elif k >= 10:  # m_enter / m_exit / alloc: no-ops here
             continue
-        elif k == 8:  # period boundaries carry no acting thread
+        else:  # synchronization and period events mutate clocks
             det._events_seen = seen
-            det.begin_sampling()
-            cache.clear()
-        elif k == 9:
-            det._events_seen = seen
-            det.end_sampling()
-            cache.clear()
-        else:  # synchronization actions mutate clocks: drop the cache
-            det._events_seen = seen
-            if tid != last_tid:
-                threads_add(tid)
-                last_tid = tid
-            if k == 2:
-                det.acquire(tid, target)
-            elif k == 3:
-                det.release(tid, target)
-            elif k == 4:
-                threads_add(target)
-                det.fork(tid, target)
-            elif k == 5:
-                det.join(tid, target)
-            elif k == 6:
-                det.vol_read(tid, target)
-            else:  # k == 7
-                det.vol_write(tid, target)
+            det._sync(k, tid, target)
             cache.clear()
     det._events_seen = seen
     counters = det.counters
@@ -356,13 +336,11 @@ def pacer_kernel(det, kinds, tids, targets, sites, seen0):
     tracked = arena.index
     tracked_disjoint = tracked.keys().isdisjoint
     counters = det.counters
-    threads = det._threads
-    threads_add = threads.add
     sampling = det.sampling
     reads_fast = 0
     writes_fast = 0
     compress = _compress
-    threads.update(compress(tids, access01))
+    det._threads.update(compress(tids, access01))
     i = 0
     while i < n:
         k = kinds[i]
@@ -414,29 +392,8 @@ def pacer_kernel(det, kinds, tids, targets, sites, seen0):
             i = j
             continue
         det._events_seen = seen0 + i + 1
-        if k == 8:  # period boundaries carry no acting thread
-            det.begin_sampling()
-            sampling = det.sampling
-        elif k == 9:
-            det.end_sampling()
-            sampling = det.sampling
-        else:  # synchronization actions (2 <= k <= 7)
-            tid = tids[i]
-            target = targets[i]
-            threads_add(tid)
-            if k == 2:
-                det.acquire(tid, target)
-            elif k == 3:
-                det.release(tid, target)
-            elif k == 4:
-                threads_add(target)
-                det.fork(tid, target)
-            elif k == 5:
-                det.join(tid, target)
-            elif k == 6:
-                det.vol_read(tid, target)
-            else:  # k == 7
-                det.vol_write(tid, target)
+        det._sync(k, tids[i], targets[i])  # synchronization or period event
+        sampling = det.sampling
         i += 1
     det._events_seen = seen0 + n
     counters.reads_fast_nonsampling += reads_fast

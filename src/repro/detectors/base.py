@@ -1,39 +1,28 @@
 """Detector framework: the common interface and race reports.
 
-Every detector consumes the event alphabet of Appendix A through either
-the typed methods (:meth:`Detector.read`, :meth:`Detector.acquire`, ...)
-or :meth:`Detector.apply`, which dispatches a :class:`~repro.trace.events.Event`.
-Detectors report races by appending :class:`Race` records and keep
-analyzing (real tools do not stop at the first race; the formal
-semantics' "stuck" state corresponds to the first report).
+Every detector consumes the event alphabet of Appendix A through one
+entry, :meth:`Detector.step`: it takes an event as its kind id
+(:data:`~repro.trace.events.KIND_TO_ID`) plus operands, advances the
+virtual clock, records which threads acted and calls the typed handler
+(:meth:`Detector.read`, :meth:`Detector.acquire`, ...).
+:meth:`Detector.apply`, the generic batch loop, the simulator runtime
+and the live monitor all feed it, and the packed kernels share its
+synchronization switch.  Detectors report races by appending
+:class:`Race` records and keep analyzing (real tools do not stop at the
+first race; the formal semantics' "stuck" state corresponds to the
+first report).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.backend import resolve_backend
 from ..core.stats import OpCounters, PerfCounters
 from ..trace.batch import DEFAULT_BATCH_SIZE, EventBatch, iter_batches
-from ..trace.events import (
-    ACQUIRE,
-    ALLOC,
-    Event,
-    FORK,
-    ID_TO_KIND,
-    JOIN,
-    METHOD_ENTER,
-    METHOD_EXIT,
-    READ,
-    RELEASE,
-    SBEGIN,
-    SEND,
-    VOL_READ,
-    VOL_WRITE,
-    WRITE,
-)
+from ..trace.events import KIND_TO_ID, Event
 
 __all__ = ["Race", "SiteId", "Detector", "NullDetector", "distinct_races"]
 
@@ -91,8 +80,9 @@ class Detector:
     """Base class for all dynamic race detectors.
 
     Subclasses implement the typed event methods.  The base class
-    provides race collection, counters, dispatch, and bookkeeping of
-    which threads exist (thread 0 is implicitly the main thread).
+    provides race collection, counters, the one per-event entry
+    (:meth:`step`), and bookkeeping of which threads exist (thread 0 is
+    implicitly the main thread).
     """
 
     #: human-readable name used in tables and benchmark output
@@ -112,36 +102,62 @@ class Detector:
         self.observer = None
         self._events_seen = 0
         self._threads: Set[int] = set()
-        self._dispatch: Dict[str, Callable[[Event], None]] = {
-            READ: self._ev_read,
-            WRITE: self._ev_write,
-            ACQUIRE: self._ev_acquire,
-            RELEASE: self._ev_release,
-            FORK: self._ev_fork,
-            JOIN: self._ev_join,
-            VOL_READ: self._ev_vol_read,
-            VOL_WRITE: self._ev_vol_write,
-            SBEGIN: self._ev_sbegin,
-            SEND: self._ev_send,
-            METHOD_ENTER: self._ev_method_enter,
-            METHOD_EXIT: self._ev_method_exit,
-            ALLOC: self._ev_ignore,
-        }
-        # the same handlers, indexed by the canonical kind id — the
-        # default batched loop dispatches through this list
-        self._dispatch_by_id: List[Callable[[Event], None]] = [
-            self._dispatch[kind] for kind in ID_TO_KIND
-        ]
 
     # -- public API --------------------------------------------------------
 
-    def apply(self, event: Event) -> None:
-        """Dispatch one trace event to the typed handler."""
+    def step(self, k: int, tid: int, target: int, site: SiteId = 0) -> None:
+        """Analyze one event given as its kind id: the one per-event entry.
+
+        Advances the virtual clock, records the acting thread (and a
+        forked child), and calls the typed handler: ids 0/1 go to
+        :meth:`read`/:meth:`write`, 2-9 to :meth:`_sync`, 10/11 to the
+        method hooks, and 12 (``alloc``) does nothing.
+        """
         self._events_seen += 1
-        handler = self._dispatch.get(event.kind)
-        if handler is None:
+        if k <= 1:
+            self._threads.add(tid)
+            if k:
+                self.write(tid, target, site)
+            else:
+                self.read(tid, target, site)
+        elif k <= 9:
+            self._sync(k, tid, target)
+        elif k == 10:
+            self.method_enter(tid, target)
+        elif k == 11:
+            self.method_exit(tid, target)
+
+    def _sync(self, k: int, tid: int, target: int) -> None:
+        """The synchronization and period-marker switch (ids 2-9), shared
+        by :meth:`step` and the packed kernels' non-access branch; the
+        caller has already advanced the virtual clock."""
+        if k >= 8:  # period boundaries carry no acting thread
+            if k == 8:
+                self.begin_sampling()
+            else:
+                self.end_sampling()
+            return
+        self._threads.add(tid)
+        if k == 2:
+            self.acquire(tid, target)
+        elif k == 3:
+            self.release(tid, target)
+        elif k == 4:
+            self._threads.add(target)
+            self.fork(tid, target)
+        elif k == 5:
+            self.join(tid, target)
+        elif k == 6:
+            self.vol_read(tid, target)
+        else:  # k == 7
+            self.vol_write(tid, target)
+
+    def apply(self, event: Event) -> None:
+        """Analyze one trace event through :meth:`step`."""
+        k = KIND_TO_ID.get(event.kind)
+        if k is None:
             raise ValueError(f"unknown event kind: {event.kind!r}")
-        handler(event)
+        self.step(k, event.tid, event.target, event.site)
 
     def run(self, events: Iterable[Event]) -> List[Race]:
         """Analyze a whole trace; returns the accumulated race list.
@@ -163,7 +179,7 @@ class Detector:
             for event in events:
                 self.apply(event)
                 count += 1
-                if count % cadence == 0:
+                if self._events_seen % cadence == 0:
                     obs.on_events(self, self._events_seen)
         self.perf.elapsed_ns += time.perf_counter_ns() - start
         self.perf.events += count
@@ -272,19 +288,13 @@ class Detector:
     def apply_batch(self, batch: EventBatch) -> None:
         """Process one encoded batch.
 
-        The base implementation decodes each record and dispatches it
-        exactly like :meth:`apply` (so every detector supports batches);
-        FASTTRACK and PACER override it to hand packed-backend batches to
+        The base implementation feeds each event through :meth:`apply`
+        (so every detector supports batches); FASTTRACK and PACER
+        override it to hand packed-backend batches to
         :mod:`repro.core.engine` whole.
         """
-        dispatch = self._dispatch_by_id
-        id_to_kind = ID_TO_KIND
-        seen = self._events_seen
-        kinds, tids, targets, sites = batch.to_list_columns()
-        for kid, tid, target, site in zip(kinds, tids, targets, sites):
-            seen += 1
-            self._events_seen = seen
-            dispatch[kid](Event(id_to_kind[kid], tid, target, site))
+        for event in batch:
+            self.apply(event)
 
     @property
     def distinct_races(self) -> Set[Tuple[SiteId, SiteId]]:
@@ -404,59 +414,6 @@ class Detector:
                 first_index=first_index,
             )
         )
-
-    # -- internal trampolines -------------------------------------------------
-
-    def _note_thread(self, tid: int) -> None:
-        self._threads.add(tid)
-
-    def _ev_read(self, e: Event) -> None:
-        self._note_thread(e.tid)
-        self.read(e.tid, e.target, e.site)
-
-    def _ev_write(self, e: Event) -> None:
-        self._note_thread(e.tid)
-        self.write(e.tid, e.target, e.site)
-
-    def _ev_acquire(self, e: Event) -> None:
-        self._note_thread(e.tid)
-        self.acquire(e.tid, e.target)
-
-    def _ev_release(self, e: Event) -> None:
-        self._note_thread(e.tid)
-        self.release(e.tid, e.target)
-
-    def _ev_fork(self, e: Event) -> None:
-        self._note_thread(e.tid)
-        self._note_thread(e.target)
-        self.fork(e.tid, e.target)
-
-    def _ev_join(self, e: Event) -> None:
-        self._note_thread(e.tid)
-        self.join(e.tid, e.target)
-
-    def _ev_vol_read(self, e: Event) -> None:
-        self._note_thread(e.tid)
-        self.vol_read(e.tid, e.target)
-
-    def _ev_vol_write(self, e: Event) -> None:
-        self._note_thread(e.tid)
-        self.vol_write(e.tid, e.target)
-
-    def _ev_sbegin(self, _e: Event) -> None:
-        self.begin_sampling()
-
-    def _ev_send(self, _e: Event) -> None:
-        self.end_sampling()
-
-    def _ev_method_enter(self, e: Event) -> None:
-        self.method_enter(e.tid, e.target)
-
-    def _ev_method_exit(self, e: Event) -> None:
-        self.method_exit(e.tid, e.target)
-
-    def _ev_ignore(self, _e: Event) -> None:
-        pass
 
 
 class NullDetector(Detector):

@@ -44,7 +44,9 @@ from ..obs.provenance import SyncIndex
 from ..trace.events import (
     ACQUIRE,
     FORK,
+    ID_TO_KIND,
     JOIN,
+    KIND_TO_ID,
     READ,
     RELEASE,
     SBEGIN,
@@ -84,27 +86,34 @@ class RaceMonitor:
         if observer is not None:
             observer.attach(self.detector)
         self._mutex = threading.Lock()
-        self._tids: Dict[int, int] = {}  # threading ident -> detector tid
+        self._local = threading.local()  # .tid: the thread's detector tid
         self._next_tid = 0
         self._vars: Dict[str, int] = {}
         self._locks: Dict[str, int] = {}
-        self._vols: Dict[str, int] = {}
+        # a name, or ("exit", tid) for a tracked thread's exit volatile
+        self._vols: Dict[Any, int] = {}
         self._sites: Dict[Tuple[str, int], str] = {}
         self._site_names: Dict[str, str] = {}
 
     # -- interning ----------------------------------------------------------
 
     def _tid(self) -> int:
-        ident = threading.get_ident()
-        with self._mutex:
-            tid = self._tids.get(ident)
-            if tid is None:
+        """The calling thread's detector tid, fresh on its first event.
+
+        Held thread-locally, not keyed by ident: CPython hands an exited
+        thread's ident to a later thread, which must not inherit the
+        dead thread's clock (that hides races) or act as a joined thread.
+        """
+        local = self._local
+        tid = getattr(local, "tid", None)
+        if tid is None:
+            with self._mutex:
                 tid = self._next_tid
                 self._next_tid += 1
-                self._tids[ident] = tid
-            return tid
+            local.tid = tid
+        return tid
 
-    def _intern(self, table: Dict[str, int], name: str, base: int) -> int:
+    def _intern(self, table: Dict[Any, int], name: Any, base: int) -> int:
         with self._mutex:
             if name not in table:
                 table[name] = base + len(table)
@@ -149,92 +158,70 @@ class RaceMonitor:
 
     # -- event entry points (serialized) -----------------------------------------
 
-    def _pre_event(self, kind: str, tid: int, target: int, site: SiteId) -> int:
-        """Per-event bookkeeping before dispatch (mutex held).
+    def _feed(self, k: int, tid: int, target: int, site: SiteId) -> None:
+        """Analyze one event given as its kind id (mutex held).
 
-        The typed detector methods don't advance ``_events_seen`` on
-        their own (offline, ``apply`` does it), so the monitor advances
-        the virtual clock here — live races then carry real trace
-        indices — and mirrors the event into the observer's flight
-        recorder, exactly like the offline recorded path.  Returns the
-        race count before dispatch, for :meth:`_post_event`.
+        Mirrors the event into the observer's flight recorder at its
+        trace position, exactly like the offline recorded path, then
+        hands it to :meth:`~repro.detectors.base.Detector.step`, which
+        advances the virtual clock (so live races carry real trace
+        indices), and fires ``on_race`` for every race it raised.
         """
         det = self.detector
         obs = self.observer
+        rec = getattr(obs, "recorder", None)
+        if rec is not None:
+            rec.record(det._events_seen, ID_TO_KIND[k], tid, target, site)
+        known = len(det.races)
+        det.step(k, tid, target, site)
         if obs is not None:
-            rec = getattr(obs, "recorder", None)
-            if rec is not None:
-                rec.record(det._events_seen, kind, tid, target, site)
-        det._events_seen += 1
-        return len(det.races)
-
-    def _post_event(self, known: int) -> None:
-        """Fire ``on_race`` for any race the dispatch just appended."""
-        obs = self.observer
-        if obs is None:
-            return
-        det = self.detector
-        races = det.races
-        if len(races) > known:
-            for race in races[known:]:
+            for race in det.races[known:]:
                 obs.on_race(det, race)
 
     def on_read(self, var: int, site: SiteId) -> None:
         tid = self._tid()
         with self._mutex:
-            known = self._pre_event(READ, tid, var, site)
-            self.detector.read(tid, var, site)
-            self._post_event(known)
+            self._feed(KIND_TO_ID[READ], tid, var, site)
 
     def on_write(self, var: int, site: SiteId) -> None:
         tid = self._tid()
         with self._mutex:
-            known = self._pre_event(WRITE, tid, var, site)
-            self.detector.write(tid, var, site)
-            self._post_event(known)
+            self._feed(KIND_TO_ID[WRITE], tid, var, site)
 
     def on_acquire(self, lock: int) -> None:
         tid = self._tid()
         with self._mutex:
-            self._pre_event(ACQUIRE, tid, lock, 0)
-            self.detector.acquire(tid, lock)
+            self._feed(KIND_TO_ID[ACQUIRE], tid, lock, 0)
 
     def on_release(self, lock: int) -> None:
         tid = self._tid()
         with self._mutex:
-            self._pre_event(RELEASE, tid, lock, 0)
-            self.detector.release(tid, lock)
+            self._feed(KIND_TO_ID[RELEASE], tid, lock, 0)
 
-    def on_fork(self, child_ident: int) -> None:
+    def on_fork(self) -> int:
+        """Fork a new thread; returns the fresh tid it must act as."""
         parent = self._tid()
         with self._mutex:
-            child = self._tids.get(child_ident)
-            if child is None:
-                child = self._next_tid
-                self._next_tid += 1
-                self._tids[child_ident] = child
-            self._pre_event(FORK, parent, child, 0)
-            self.detector.fork(parent, child)
+            child = self._next_tid
+            self._next_tid += 1
+            self._feed(KIND_TO_ID[FORK], parent, child, 0)
+        return child
 
-    def on_join(self, child_ident: int) -> None:
+    def on_join(self, child: int) -> None:
+        """Join the thread :meth:`on_fork` gave the tid ``child``."""
         tid = self._tid()
         with self._mutex:
-            child = self._tids.get(child_ident)
-            if child is not None:
-                self._pre_event(JOIN, tid, child, 0)
-                self.detector.join(tid, child)
+            self._feed(KIND_TO_ID[JOIN], tid, child, 0)
 
     def on_vol_read(self, vol: int) -> None:
         tid = self._tid()
         with self._mutex:
-            self._pre_event(VOL_READ, tid, vol, 0)
-            self.detector.vol_read(tid, vol)
+            self._feed(KIND_TO_ID[VOL_READ], tid, vol, 0)
 
     def on_vol_write(self, vol: int) -> None:
         tid = self._tid()
         with self._mutex:
-            self._pre_event(VOL_WRITE, tid, vol, 0)
-            self.detector.vol_write(tid, vol)
+            self._feed(KIND_TO_ID[VOL_WRITE], tid, vol, 0)
 
     # -- reporting ----------------------------------------------------------
 
@@ -381,7 +368,15 @@ class TrackedLock:
 
 
 class TrackedThread:
-    """A thread wrapper emitting fork/join happens-before edges."""
+    """A thread wrapper emitting fork/join happens-before edges.
+
+    Appendix A joins a thread once, but ``threading.Thread.join`` may be
+    called any number of times, from any number of threads, and each
+    call that returns orders the thread's actions before the caller's
+    next ones.  So the thread writes its own exit volatile as its last
+    act: the first join to find it finished emits ``join``, and every
+    later one reads that volatile, which gives it the same edge.
+    """
 
     def __init__(
         self,
@@ -391,31 +386,45 @@ class TrackedThread:
         kwargs: Dict[str, Any],
     ) -> None:
         self._monitor = monitor
-        self._started = threading.Event()
         self._forked = threading.Event()
-        self._ident: Optional[int] = None
+        #: the detector tid :meth:`RaceMonitor.on_fork` gave this thread
+        self._tid: Optional[int] = None
+        self._exit: Optional[VolatileVar] = None
+        self._joined = False
+        self._join_lock = threading.Lock()
 
         def runner() -> None:
-            self._ident = threading.get_ident()
-            self._started.set()
             # Wait for the parent to record the fork edge, so no child
             # access can be analyzed before the happens-before edge exists.
             self._forked.wait()
-            target(*args, **kwargs)
+            monitor._local.tid = self._tid
+            try:
+                target(*args, **kwargs)
+            finally:
+                self._exit.set(None)
 
         self._thread = threading.Thread(target=runner)
 
     def start(self) -> None:
         self._thread.start()
-        self._started.wait()
-        assert self._ident is not None
-        self._monitor.on_fork(self._ident)
+        mon = self._monitor
+        self._tid = mon.on_fork()
+        exit_vol = mon._intern(mon._vols, ("exit", self._tid), 200_000)
+        self._exit = VolatileVar(mon, exit_vol, None)
         self._forked.set()
 
     def join(self, timeout: Optional[float] = None) -> None:
+        """Join the thread: the first join that finds it finished emits
+        ``join``, every later one reads the thread's exit volatile."""
         self._thread.join(timeout)
-        if self._ident is not None and not self._thread.is_alive():
-            self._monitor.on_join(self._ident)
+        if self._thread.is_alive():
+            return
+        with self._join_lock:
+            first, self._joined = not self._joined, True
+        if first:
+            self._monitor.on_join(self._tid)
+        else:
+            self._exit.get()
 
     def is_alive(self) -> bool:
         return self._thread.is_alive()
@@ -459,33 +468,26 @@ class SamplingDriver:
         self._thread: Optional[threading.Thread] = None
         self.periods = 0
         self.sampled_periods = 0
+        #: the sampling state fed so far; starts from the detector's own
+        #: flag where it has one
+        self._sampling = getattr(monitor.detector, "sampling", False)
 
     def _toggle_once(self) -> None:
-        detector = self._monitor.detector
         sample = self._rng.random() < self.rate
         self.periods += 1
+        if sample:
+            self.sampled_periods += 1
         with self._monitor._mutex:
-            self._mark(sample)
-            if sample:
-                self.sampled_periods += 1
-                detector.begin_sampling()
-            else:
-                detector.end_sampling()
+            self._set_sampling(sample)
 
-    def _mark(self, entering: bool) -> None:
-        """Mirror the sampling transition into the flight recorder (mutex
-        held), so live witnesses carry sampling attribution too."""
-        obs = self._monitor.observer
-        if obs is not None:
-            rec = getattr(obs, "recorder", None)
-            if rec is not None:
-                rec.record(
-                    self._monitor.detector._events_seen,
-                    SBEGIN if entering else SEND,
-                    0,
-                    0,
-                    0,
-                )
+    def _set_sampling(self, sampling: bool) -> None:
+        """Feed ``sbegin``/``send`` through the monitor when sampling
+        changes state (mutex held), so period markers reach the detector
+        and the flight recorder as trace events, exactly as offline."""
+        if sampling != self._sampling:
+            self._sampling = sampling
+            kind = SBEGIN if sampling else SEND
+            self._monitor._feed(KIND_TO_ID[kind], -1, 0, 0)
 
     def _loop(self) -> None:
         while not self._stop.wait(self.period_s):
@@ -504,8 +506,7 @@ class SamplingDriver:
         if self._thread is not None:
             self._thread.join()
         with self._monitor._mutex:
-            self._mark(False)
-            self._monitor.detector.end_sampling()
+            self._set_sampling(False)
 
     def __enter__(self) -> "SamplingDriver":
         return self.start()

@@ -31,7 +31,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.tracing import PID_CLIENT_BASE, SpanRecorder, chunk_flow_id
-from ..trace.events import SBEGIN, SEND, Event
+from ..trace.events import ID_TO_KIND, Event
 from .protocol import (
     Close,
     CloseAck,
@@ -426,12 +426,13 @@ class ForwardingDetector:
     """A detector-shaped event buffer for :class:`TelemetryMonitor`.
 
     Implements exactly the surface :class:`~repro.live.RaceMonitor`
-    touches — the typed event methods, ``races``/``distinct_races``/
-    ``_events_seen``, ``begin_sampling``/``end_sampling`` — but performs
-    no analysis: every call appends an :class:`~repro.trace.events.Event`
-    to a buffer the shim flushes over the wire.  The monitor's string
-    sites (``file:line``) are interned to dense integers here;
-    :attr:`new_sites` collects not-yet-shipped name-table entries.
+    touches — the one event entry ``step``, ``races``/
+    ``distinct_races`` and ``_events_seen`` — but performs no analysis:
+    every event, sampling markers included, is appended as an
+    :class:`~repro.trace.events.Event` to a buffer the shim flushes over
+    the wire.  The monitor's string sites (``file:line``) are interned
+    to dense integers here; :attr:`new_sites` collects not-yet-shipped
+    name-table entries.
     """
 
     name = "forwarding"
@@ -458,44 +459,15 @@ class ForwardingDetector:
             self.new_sites[sid] = site
         return sid
 
-    def _emit(self, kind: str, tid: int, target: int, site=0) -> None:
-        self.buffer.append(Event(kind, tid, target, self._site_id(site)))
+    def step(self, k: int, tid: int, target: int, site=0) -> None:
+        """Buffer one event given as its kind id, like ``Detector.step``."""
+        self._events_seen += 1
+        self.buffer.append(Event(ID_TO_KIND[k], tid, target, self._site_id(site)))
         if (
             self._on_chunk is not None
             and len(self.buffer) >= self._chunk_size
         ):
             self._on_chunk()
-
-    # the typed surface RaceMonitor dispatches to
-    def read(self, tid, var, site=0):
-        self._emit("rd", tid, var, site)
-
-    def write(self, tid, var, site=0):
-        self._emit("wr", tid, var, site)
-
-    def acquire(self, tid, lock, site=0):
-        self._emit("acq", tid, lock, site)
-
-    def release(self, tid, lock, site=0):
-        self._emit("rel", tid, lock, site)
-
-    def fork(self, tid, child, site=0):
-        self._emit("fork", tid, child, site)
-
-    def join(self, tid, child, site=0):
-        self._emit("join", tid, child, site)
-
-    def vol_read(self, tid, vol, site=0):
-        self._emit("vol_rd", tid, vol, site)
-
-    def vol_write(self, tid, vol, site=0):
-        self._emit("vol_wr", tid, vol, site)
-
-    def begin_sampling(self):
-        self.buffer.append(Event(SBEGIN, -1, 0, 0))
-
-    def end_sampling(self):
-        self.buffer.append(Event(SEND, -1, 0, 0))
 
     def take(self) -> List[Event]:
         """Swap out and return the buffered events."""

@@ -1,9 +1,10 @@
 """Columnar (struct-of-arrays) event batches for the analysis fast path.
 
 The scalar pipeline hands every event to :meth:`Detector.apply` as an
-:class:`~repro.trace.events.Event`, paying per event for a dispatch-table
-lookup, a trampoline call, and several attribute accesses.  At paper
-scale (10⁹ events) that per-event overhead dominates analysis time.
+:class:`~repro.trace.events.Event`, paying per event for a kind-id
+lookup, a :meth:`Detector.step` call that switches on that id, and
+several attribute accesses.  At paper scale (10⁹ events) that per-event
+overhead dominates analysis time.
 
 An :class:`EventBatch` stores a run of events as four parallel integer
 arrays — kind ids (see :data:`~repro.trace.events.KIND_TO_ID`), thread

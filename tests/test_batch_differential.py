@@ -23,8 +23,10 @@ from helpers import race_sigs
 from repro.core.backend import BACKENDS as AVAILABLE_BACKENDS
 from repro.core.pacer import PacerDetector
 from repro.detectors import (
+    DjitPlusDetector,
     EraserDetector,
     FastTrackDetector,
+    GenericDetector,
     GoldilocksDetector,
     LiteRaceDetector,
 )
@@ -64,6 +66,8 @@ DETECTORS = [
     ("eraser", EraserDetector),
     ("literace", lambda: LiteRaceDetector(seed=99)),
     ("goldilocks", GoldilocksDetector),
+    ("generic", GenericDetector),
+    ("djit", DjitPlusDetector),
 ]
 
 

@@ -1,7 +1,13 @@
 """The real-threads frontend (repro.live)."""
 
+import sys
+import threading
+
 from repro import PacerDetector
 from repro.live import RaceMonitor
+from repro.live import monitor as monitor_module
+from repro.net.client import ForwardingDetector
+from repro.trace.trace import Trace
 
 
 def spawn_and_join(mon, target, n):
@@ -116,6 +122,144 @@ class TestMonitorMachinery:
         site = next(iter(mon._site_names))
         assert ":" in mon.site_name(site)
         assert mon.site_name(99_999).startswith("site#")
+
+
+class RecyclingIdents:
+    """The ``threading`` module as the monitor sees it, except that every
+    thread but the one that built it reports the same ident — as CPython
+    does when it hands an exited thread's ident to a new thread."""
+
+    RECYCLED = 4242
+
+    def __init__(self):
+        self._owner = threading.get_ident()
+
+    def __getattr__(self, name):
+        return getattr(threading, name)
+
+    def get_ident(self):
+        ident = threading.get_ident()
+        return ident if ident == self._owner else self.RECYCLED
+
+
+class TestThreadIdentity:
+    def _one_after_the_other(self, mon):
+        """Two tracked threads write ``x`` in turn; neither is joined
+        before the other starts."""
+        x = mon.shared("x", 0)
+        threads = []
+        for value in (1, 2):
+            done = threading.Event()
+
+            def write(value=value, done=done):
+                x.set(value)
+                done.set()
+
+            t = mon.thread(write)
+            t.start()
+            assert done.wait(10)
+            threads.append(t)
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+
+    def test_recycled_ident_gets_a_fresh_tid(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "threading", RecyclingIdents())
+        mon = RaceMonitor()
+        self._one_after_the_other(mon)
+        assert len(mon.detector.races) == 1
+        assert sorted(mon.detector._threads) == [0, 1, 2]
+
+    def test_join_names_the_thread_it_forked(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "threading", RecyclingIdents())
+        fwd = ForwardingDetector()
+        self._one_after_the_other(RaceMonitor(detector=fwd))
+        edges = [(e.kind, e.tid, e.target) for e in fwd.buffer
+                 if e.kind in ("fork", "join")]
+        assert edges == [("fork", 0, 1), ("fork", 0, 2),
+                         ("join", 0, 1), ("join", 0, 2)]
+        Trace(fwd.buffer).validate()
+
+    def test_untracked_thread_on_a_recycled_ident_is_a_new_thread(
+        self, monkeypatch
+    ):
+        """A plain ``threading.Thread`` handed a joined tracked thread's
+        ident acts as a thread of its own, unordered with that one."""
+        monkeypatch.setattr(monitor_module, "threading", RecyclingIdents())
+        fwd = ForwardingDetector()
+        mon = RaceMonitor()
+        for m in (mon, RaceMonitor(detector=fwd)):
+            x = m.shared("x", 0)
+            writer = m.thread(x.set, 1)
+            writer.start()
+            writer.join(10)
+            plain = threading.Thread(target=x.set, args=(2,))
+            plain.start()
+            plain.join(10)
+        assert len(mon.detector.races) == 1
+        assert sorted(mon.detector._threads) == [0, 1, 2]
+        Trace(fwd.buffer).validate()
+
+    def test_second_join_reads_the_exit_volatile(self):
+        fwd = ForwardingDetector()
+        mon = RaceMonitor(detector=fwd)
+        x = mon.shared("x", 0)
+        t = mon.thread(x.set, 1)
+        t.start()
+        t.join(10)
+        t.join(10)  # threading.Thread allows it; Appendix A joins once
+        assert not t.is_alive()
+        kinds = [e.kind for e in fwd.buffer]
+        assert kinds == ["fork", "wr", "vol_wr", "join", "vol_rd"]
+        assert fwd.buffer[2].target == fwd.buffer[4].target
+        Trace(fwd.buffer).validate()
+
+    def test_concurrent_joins_emit_one_join(self):
+        fwd = ForwardingDetector()
+        mon = RaceMonitor(detector=fwd)
+        x = mon.shared("x", 0)
+        child = mon.thread(x.set, 1)
+        child.start()
+        joiners = [mon.thread(child.join, 10) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for j in joiners:
+                j.start()
+            for j in joiners:
+                j.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in joiners + [child])
+        joins = [e for e in fwd.buffer if e.kind == "join"]
+        assert [e.target for e in joins].count(child._tid) == 1
+        assert len(joins) == 1 + len(joiners)
+        # every other joiner reads the child's exit volatile instead
+        exit_vol = child._exit._vol
+        ordered = [e.tid for e in fwd.buffer
+                   if e.kind == "join" and e.target == child._tid
+                   or e.kind == "vol_rd" and e.target == exit_vol]
+        assert sorted(ordered) == sorted(j._tid for j in joiners)
+        Trace(fwd.buffer).validate()
+
+    def test_every_joiner_is_ordered_after_the_thread(self):
+        """Two threads join one worker, then read what it wrote: only
+        one of them can emit Appendix A's ``join``, and neither races."""
+        for det in (None, PacerDetector(sampling=True), ForwardingDetector()):
+            mon = RaceMonitor(detector=det)
+            result = mon.shared("result", None)
+            worker = mon.thread(result.set, 42)
+
+            def await_result():
+                worker.join(10)
+                assert result.get() == 42
+
+            worker.start()
+            spawn_and_join(mon, await_result, 2)
+            if isinstance(det, ForwardingDetector):
+                Trace(det.buffer).validate()
+            else:
+                assert mon.detector.races == []
 
 
 class TestSamplingDriver:

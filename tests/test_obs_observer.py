@@ -11,6 +11,7 @@ from repro.obs import RunObserver, validate_chrome_trace
 from repro.sim.runtime import Runtime, RuntimeConfig
 from repro.sim.workloads import MICRO, build_program
 from repro.trace.events import fork, join, rd, sbegin, send, wr
+from repro.trace.generator import random_trace
 
 from helpers import race_sigs
 
@@ -148,6 +149,31 @@ class TestDeterminism:
         path = tmp_path / "t.jsonl"
         obs.write_timeline(path)
         assert path.read_text() == obs.timeline_jsonl()
+
+
+class TestProbeCadence:
+    def _observe(self, events, splits):
+        """Scalar ``run`` over ``events``, one call per piece."""
+        obs = RunObserver(sample_every=64)
+        det = PacerDetector()
+        obs.attach(det)
+        start = 0
+        for end in splits + [len(events)]:
+            det.run(events[start:end])
+            start = end
+        obs.finalize(det)
+        return obs
+
+    def test_split_scalar_run_probes_where_one_call_does(self):
+        """Probes fall on global multiples of ``sample_every``, not on
+        multiples of each call's own event count."""
+        events = list(random_trace(sampling_period_prob=0.05))
+        one = self._observe(events, [])
+        assert [r["vt"] for r in one.timeline] == [64, 128, 192, 256, 320, 360]
+        for splits in ([100], [1, 64, 65, 300]):
+            split = self._observe(events, splits)
+            assert split.timeline_jsonl() == one.timeline_jsonl(), splits
+            assert split.registry.snapshot() == one.registry.snapshot(), splits
 
 
 class TestDisabledParity:

@@ -271,28 +271,28 @@ class TestLiveOfflineParity:
         live_marks = list(monitor.observer.recorder.sampling_marks)
         assert live_marks, "driver recorded no sampling transitions"
 
-        # offline replay: same accesses, sbegin/send at the marked vts
-        accesses = [
+        # offline replay: same accesses, sbegin/send at the marked vts —
+        # live marks advance the clock like any other event, so each one
+        # sits at its own vt and the replay puts it back exactly there
+        accesses = iter([
             wr(0, 0, site="a"), wr(0, 0, site="b"),
             rd(0, 0, site="c"), wr(0, 0, site="d"),
+        ])
+        marks = dict(live_marks)
+        events = [
+            (sbegin() if marks[vt] else send()) if vt in marks
+            else next(accesses)
+            for vt in range(len(marks) + 4)
         ]
-        # live marks don't advance the clock, so several can share one
-        # vt — replay them as an ordered merge, never a dict
-        events, mi = [], 0
-        for i, ev in enumerate(accesses):
-            while mi < len(live_marks) and live_marks[mi][0] <= i:
-                events.append(sbegin() if live_marks[mi][1] else send())
-                mi += 1
-            events.append(ev)
-        for _, entering in live_marks[mi:]:  # trailing toggles
-            events.append(sbegin() if entering else send())
+        assert next(accesses, None) is None
         detector = PacerDetector(sampling=False)
         obs = RunObserver(recorder=FlightRecorder())
         obs.attach(detector)
         detector.run(events)
         obs.finalize(detector)
         offline_marks = list(obs.recorder.sampling_marks)
-        assert [e for _, e in offline_marks] == [e for _, e in live_marks]
+        assert offline_marks == live_marks
+        assert obs.sampling_marks == monitor.observer.sampling_marks
 
         live_cov = monitor.coverage_report(nominal_rate=0.5)
         offline_cov = build_coverage(
