@@ -132,20 +132,6 @@ def expand_matrix(
     return tasks
 
 
-def _race_sig(race: Race) -> Tuple:
-    """Full dynamic signature of one race report (exact comparisons)."""
-    return (
-        race.index,
-        race.first_index,
-        race.var,
-        race.kind,
-        race.first_tid,
-        race.first_site,
-        race.second_tid,
-        race.second_site,
-    )
-
-
 def run_trial_task(task: TrialTask) -> CoreStats:
     """Execute one trial and distill it into a :class:`CoreStats`.
 
@@ -185,7 +171,7 @@ def run_trial_task(task: TrialTask) -> CoreStats:
         seed=task.seed,
         events=runtime.events,
         races=len(detector.races),
-        race_sigs=tuple(_race_sig(r) for r in detector.races),
+        race_sigs=tuple(r.sig for r in detector.races),
         distinct_keys=tuple(sorted(detector.distinct_races)),
         effective_rate=runtime.effective_sampling_rate,
         counters=detector.counters.snapshot(),
@@ -302,17 +288,19 @@ def matrix_report(
 ) -> Dict:
     """One merged race-report document for a whole matrix run.
 
-    Built from each trial's ``race_sigs`` (the deterministic result core
-    workers already ship — no flight recorder crosses process
-    boundaries) and folded in task order, so like the merged metrics the
-    document is byte-identical for any ``--jobs`` value.
+    Each trial's document comes from :func:`~repro.obs.reports.build_report`
+    over its ``race_sigs`` (the deterministic result core workers already
+    ship — no flight recorder crosses process boundaries, so there are
+    no witnesses or contexts); :func:`~repro.obs.reports.merge_reports`
+    folds them in task order, so like the merged metrics the document is
+    byte-identical for any ``--jobs`` value.
     """
     # imported here to keep module import light and cycle-free
-    from ..obs.reports import merge_reports, report_from_sigs
+    from ..obs.reports import build_report, merge_reports
 
     docs = [
-        report_from_sigs(
-            stats.race_sigs,
+        build_report(
+            [Race.from_sig(sig) for sig in stats.race_sigs],
             source=source,
             detector=task.detector,
             backend=task.backend,
@@ -337,9 +325,12 @@ def matrix_coverage(
 ) -> Dict:
     """One merged coverage document for a whole matrix run.
 
-    Per-trial ``repro/coverage-report/v1`` documents (from the counters
-    and race signatures workers already ship) fold into one global
-    accounting, extended with two matrix-only sections:
+    Each trial's ``repro/coverage-report/v1`` document comes from
+    :func:`~repro.obs.quality.build_coverage` over the counters and
+    ``race_sigs`` workers already ship (no sampling marks, so
+    attribution is null); :func:`~repro.obs.quality.merge_coverage`
+    folds them into one global accounting, extended with two
+    matrix-only sections:
 
     * ``curve`` — one row per (workload, detector, rate) cell: trials,
       events, dynamic races, and the sync-op-weighted effective rate —
@@ -361,7 +352,7 @@ def matrix_coverage(
     """
     # imported here to keep module import light and cycle-free
     from ..obs.quality import (
-        coverage_from_sigs,
+        build_coverage,
         effective_rate_ci,
         merge_coverage,
         sync_op_split,
@@ -369,13 +360,13 @@ def matrix_coverage(
     from .statistics import wilson_interval
 
     docs = [
-        coverage_from_sigs(
-            stats.race_sigs,
+        build_coverage(
             source=source,
             detector=task.detector,
             workload=task.workload,
             nominal_rate=task.rate,
             counters=stats.counters,
+            races=[Race.from_sig(sig) for sig in stats.race_sigs],
             events=stats.events,
         )
         for task, stats in zip(tasks, results)

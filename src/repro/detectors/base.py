@@ -63,6 +63,25 @@ class Race:
         """Static identity of the race: the pair of program sites."""
         return (self.first_site, self.second_site)
 
+    @property
+    def sig(self) -> Tuple:
+        """Full dynamic signature ``(index, first_index, var, kind,
+        first_tid, first_site, second_tid, second_site)``: every field but
+        ``first_clock``.  Matrix workers ship races in this form
+        (``CoreStats.race_sigs``) and exact comparisons use it."""
+        return (self.index, self.first_index, self.var, self.kind,
+                self.first_tid, self.first_site, self.second_tid,
+                self.second_site)
+
+    @classmethod
+    def from_sig(cls, sig: Tuple) -> "Race":
+        """The race a :attr:`sig` describes; the signature carries no
+        ``first_clock``, so it is -1 (unknown)."""
+        (index, first_index, var, kind,
+         first_tid, first_site, second_tid, second_site) = sig
+        return cls(var, kind, first_tid, -1, first_site, second_tid,
+                   second_site, index, first_index)
+
     def __str__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"race[{self.kind}] var={self.var} "

@@ -242,18 +242,20 @@ class RaceMonitor:
         Witnesses come from the observer's flight recorder when one is
         attached (``source: "recorder"`` — bounded, like online tools),
         and per-race event context from the contexts captured at report
-        time.
+        time.  Safe to call while tracked threads run: the recorder
+        snapshot, the contexts and the race list are all read under the
+        monitor mutex, so the witnesses explain exactly the races listed.
         """
         det = self.detector
         obs = self.observer
-        sync = None
-        contexts = None
-        if obs is not None:
-            rec = getattr(obs, "recorder", None)
-            if rec is not None:
-                sync = SyncIndex.from_recorder(rec)
-            contexts = obs.race_contexts or None
         with self._mutex:
+            sync = None
+            contexts = None
+            if obs is not None:
+                rec = getattr(obs, "recorder", None)
+                if rec is not None:
+                    sync = SyncIndex.from_recorder(rec)
+                contexts = obs.race_contexts or None
             return build_report(
                 det.races,
                 source="live",
@@ -286,14 +288,14 @@ class RaceMonitor:
         """
         det = self.detector
         obs = self.observer
-        marks = []
-        if obs is not None:
-            marks = obs.sampling_marks
-            if not marks:
-                rec = getattr(obs, "recorder", None)
-                if rec is not None:
-                    marks = rec.sampling_marks
         with self._mutex:
+            marks = []
+            if obs is not None:
+                marks = obs.sampling_marks
+                if not marks:
+                    rec = getattr(obs, "recorder", None)
+                    if rec is not None:
+                        marks = rec.sampling_marks
             return build_coverage(
                 source="live",
                 detector=det.name,

@@ -1,6 +1,6 @@
 """``repro.obs`` — always-available, near-zero-cost observability.
 
-Five layers (see ``docs/OBSERVABILITY.md`` for the full catalog):
+Its layers (see ``docs/OBSERVABILITY.md`` for the full catalog):
 
 * :mod:`repro.obs.metrics` — a deterministic registry of counters,
   gauges, and fixed-bucket histograms with labeled series and JSON
@@ -15,7 +15,17 @@ Five layers (see ``docs/OBSERVABILITY.md`` for the full catalog):
   happens-before witness extractor behind race provenance;
 * :mod:`repro.obs.reports` — the versioned structured race-report
   artifact (``repro/race-report/v1``) with deterministic merging,
-  validation, and table/Markdown rendering.
+  validation, and table/Markdown rendering;
+* :mod:`repro.obs.quality` — the detection-quality coverage artifact
+  (``repro/coverage-report/v1``): effective sampling rate, sampling-period
+  attribution of races, and the extrapolated true-race estimate;
+* :mod:`repro.obs.tracing` and :mod:`repro.obs.prom` — the telemetry
+  service's cross-process span trace and its Prometheus exposition.
+
+Every run's documents come from one builder each: :func:`build_report`
+and :func:`build_coverage`, folded by :func:`merge_reports` and
+:func:`merge_coverage`, with sampling periods from one walk over the
+``(vt, entering)`` marks (:func:`repro.obs.provenance.mark_periods`).
 
 Disabled-path contract: every hook site in the detectors, scheduler, and
 runtime guards on ``observer is None`` with a single branch, and the
@@ -39,9 +49,7 @@ from .tracing import SpanRecorder, assemble_service_trace, chunk_flow_id
 from .provenance import FlightRecorder, SyncIndex, SyncIndexBuilder, extract_witness
 from .quality import (
     COVERAGE_SCHEMA,
-    ProportionalityAuditor,
     build_coverage,
-    coverage_from_sigs,
     merge_coverage,
     render_coverage,
     validate_coverage,
@@ -53,7 +61,6 @@ from .reports import (
     merge_reports,
     render_report_markdown,
     render_report_table,
-    report_from_sigs,
     validate_report,
     write_report,
 )
@@ -65,7 +72,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProportionalityAuditor",
     "REPORT_SCHEMA",
     "RunObserver",
     "SpanRecorder",
@@ -75,7 +81,6 @@ __all__ = [
     "build_coverage",
     "build_report",
     "chunk_flow_id",
-    "coverage_from_sigs",
     "render_prometheus",
     "chrome_trace",
     "extract_witness",
@@ -87,7 +92,6 @@ __all__ = [
     "render_coverage",
     "render_report_markdown",
     "render_report_table",
-    "report_from_sigs",
     "validate_chrome_trace",
     "validate_coverage",
     "validate_report",

@@ -54,6 +54,7 @@ from .perfetto import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from .provenance import mark_periods
 
 __all__ = ["RunObserver"]
 
@@ -255,19 +256,10 @@ class RunObserver:
     # -- Perfetto output ----------------------------------------------------
 
     def sampling_periods(self) -> List[Tuple[int, int]]:
-        """Closed (begin vt, end vt) sampling intervals; open periods end
-        at the final virtual time."""
-        periods: List[Tuple[int, int]] = []
-        open_at: Optional[int] = None
-        for vt, entering in self.sampling_marks:
-            if entering and open_at is None:
-                open_at = vt
-            elif not entering and open_at is not None:
-                periods.append((open_at, vt))
-                open_at = None
-        if open_at is not None:
-            periods.append((open_at, max(self._final_vt, open_at)))
-        return periods
+        """Closed (begin vt, end vt) sampling intervals from the marks
+        (:func:`~repro.obs.provenance.mark_periods`); a period still open
+        ends at the final virtual time."""
+        return mark_periods(self.sampling_marks, self._final_vt)
 
     def trace_events(self) -> List[Dict]:
         """The full run as trace-event dicts (see :mod:`.perfetto`)."""

@@ -32,6 +32,13 @@ evidence sources behind ``repro.obs.reports``:
   ``repro explain``'s discard attribution) why a non-sampled shortest
   race was not.
 
+* :func:`mark_periods` + :func:`period_of` — the one walk from ``(vt,
+  entering)`` sampling marks to periods, and the lookup of the period
+  holding a trace position.  Witnesses, coverage documents
+  (:mod:`repro.obs.quality`), Perfetto spans and ``repro profile`` all
+  use it; they differ only in whether an open period ends at the final
+  virtual time.
+
 A :class:`SyncIndex` built :meth:`~SyncIndex.from_trace` is exact; one
 built :meth:`~SyncIndex.from_recorder` sees only the recorder's bounded
 sync window and says so in the witness (``"source": "flight-recorder"``).
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import compress
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..trace.batch import EventBatch
 from ..trace.events import (
@@ -67,14 +74,21 @@ __all__ = [
     "SyncIndex",
     "SyncIndexBuilder",
     "extract_witness",
+    "mark_periods",
+    "period_of",
 ]
 
 #: default per-thread ring capacity (events kept around each access)
 DEFAULT_WINDOW = 64
 
-#: default per-thread sync-operation log capacity (sync ops are ~3% of a
-#: trace, so this window spans far more virtual time than the event ring)
-DEFAULT_SYNC_WINDOW = 256
+#: per-thread sync-operation log capacity, raised to the ring's window
+#: when that is larger (sync ops are ~3% of a trace, so this log spans
+#: far more virtual time than the event ring)
+SYNC_WINDOW = 256
+
+#: events a captured context keeps before and after each racing access
+CONTEXT_BEFORE = 8
+CONTEXT_AFTER = 4
 
 #: operations that can *send* a happens-before edge (release semantics)
 RELEASE_LIKE = frozenset((RELEASE, VOL_WRITE, FORK))
@@ -107,35 +121,29 @@ class FlightRecorder:
     ``record`` is the per-event call: one dict lookup plus one deque
     append (deques with ``maxlen`` evict in O(1)); ``record_columns``
     does the same for a range of a column batch.  Sync operations are
-    additionally kept in a longer per-thread side log so witnesses can
-    reach back further than the access window, and ``sbegin``/``send``
-    transitions land in ``sampling_marks`` for sampling attribution.
+    additionally kept in a longer per-thread side log
+    (``max(SYNC_WINDOW, window)`` entries) so witnesses can reach back
+    further than the access window, and ``sbegin``/``send`` transitions
+    land in ``sampling_marks`` for sampling attribution.  ``window`` is
+    the one setting (``repro explain --window``); a captured context
+    keeps ``CONTEXT_BEFORE`` events before each access and
+    ``CONTEXT_AFTER`` after it.
     """
 
     __slots__ = (
         "window",
         "sync_window",
-        "context_before",
-        "context_after",
         "sampling_marks",
         "events_recorded",
         "_rings",
         "_sync",
     )
 
-    def __init__(
-        self,
-        window: int = DEFAULT_WINDOW,
-        sync_window: int = DEFAULT_SYNC_WINDOW,
-        context_before: int = 8,
-        context_after: int = 4,
-    ) -> None:
+    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window
-        self.sync_window = max(sync_window, window)
-        self.context_before = context_before
-        self.context_after = context_after
+        self.sync_window = max(SYNC_WINDOW, window)
         #: (virtual time, entering) sampling transitions, deduplicated
         self.sampling_marks: List[Tuple[int, bool]] = []
         self.events_recorded = 0
@@ -214,11 +222,11 @@ class FlightRecorder:
                     before.append(
                         {"vt": index, "kind": kind, "target": target, "site": site}
                     )
-                elif len(after) < self.context_after:
+                elif len(after) < CONTEXT_AFTER:
                     after.append(
                         {"vt": index, "kind": kind, "target": target, "site": site}
                     )
-        keep = self.context_before + 1  # the access itself plus its prefix
+        keep = CONTEXT_BEFORE + 1  # the access itself plus its prefix
         return {
             "tid": tid,
             "events": before[-keep:] + after,
@@ -242,11 +250,51 @@ class FlightRecorder:
         return {"first": first, "second": second, "window": self.window}
 
 
+def mark_periods(
+    marks: Sequence[Tuple[int, bool]], final_vt: Optional[int] = None
+) -> List[Tuple[int, Optional[int]]]:
+    """Sampling periods as (begin vt, end vt) pairs from ``(vt,
+    entering)`` marks: the one walk behind witnesses, coverage, Perfetto
+    spans and ``repro profile``.
+
+    A repeated mark changes nothing.  A period still open after the last
+    mark ends at ``final_vt`` (never before its own begin), or at
+    ``None`` when no final vt is given.
+    """
+    out: List[Tuple[int, Optional[int]]] = []
+    open_at: Optional[int] = None
+    for vt, entering in marks:
+        if entering and open_at is None:
+            open_at = vt
+        elif not entering and open_at is not None:
+            out.append((open_at, vt))
+            open_at = None
+    if open_at is not None:
+        out.append((open_at, None if final_vt is None else max(final_vt, open_at)))
+    return out
+
+
+def period_of(
+    periods: Sequence[Tuple[int, Optional[int]]], index: int
+) -> Optional[int]:
+    """Ordinal (0-based) of the period in ``periods`` (from
+    :func:`mark_periods`) containing trace position ``index``."""
+    if index < 0:
+        return None
+    for ordinal, (begin, end) in enumerate(periods):
+        if begin <= index and (end is None or index < end):
+            return ordinal
+    return None
+
+
 class SyncIndex:
     """Per-thread synchronization operations plus the sampling square wave.
 
-    The witness substrate: built either from a full in-memory trace
-    (exact) or from a :class:`FlightRecorder`'s bounded sync logs.
+    The witness substrate: built from a full in-memory trace
+    (:meth:`from_trace`) or a streamed one (:class:`SyncIndexBuilder`),
+    both exact, or from a :class:`FlightRecorder`'s bounded sync logs
+    (:meth:`from_recorder`).  Its sampling periods come from
+    :func:`mark_periods`, the walk coverage documents use too.
     """
 
     def __init__(
@@ -270,11 +318,6 @@ class SyncIndex:
         kinds, tids, targets, _sites = batch.to_list_columns()
         builder = SyncIndexBuilder()
         builder.add_columns(0, kinds, tids, targets)
-        return builder.build()
-
-    @classmethod
-    def from_builder(cls, builder: "SyncIndexBuilder") -> "SyncIndex":
-        """Exact index accumulated incrementally (streaming ingestion)."""
         return builder.build()
 
     @classmethod
@@ -308,26 +351,11 @@ class SyncIndex:
     def periods(self) -> List[Tuple[int, Optional[int]]]:
         """Sampling periods as (begin vt, end vt) pairs; a period still
         open at the end of the trace has end ``None``."""
-        out: List[Tuple[int, Optional[int]]] = []
-        open_at: Optional[int] = None
-        for vt, entering in self.sampling_marks:
-            if entering and open_at is None:
-                open_at = vt
-            elif not entering and open_at is not None:
-                out.append((open_at, vt))
-                open_at = None
-        if open_at is not None:
-            out.append((open_at, None))
-        return out
+        return mark_periods(self.sampling_marks)
 
     def period_of(self, index: int) -> Optional[int]:
         """Ordinal (0-based) of the sampling period containing ``index``."""
-        if index < 0:
-            return None
-        for ordinal, (begin, end) in enumerate(self.periods()):
-            if begin <= index and (end is None or index < end):
-                return ordinal
-        return None
+        return period_of(self.periods(), index)
 
 
 class SyncIndexBuilder:
@@ -461,10 +489,11 @@ def extract_witness(race, sync: SyncIndex) -> Dict:
 
     sampling: Optional[Dict] = None
     if sync.sampling_marks:
+        periods = sync.periods()
         sampling = {
-            "first_period": sync.period_of(i),
-            "second_period": sync.period_of(j),
-            "n_periods": len(sync.periods()),
+            "first_period": period_of(periods, i),
+            "second_period": period_of(periods, j),
+            "n_periods": len(periods),
         }
 
     return {

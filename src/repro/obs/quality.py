@@ -23,6 +23,11 @@ versioned artifact, the ``repro/coverage-report/v1`` document:
   expected to miss, and the **coverage deficit** between the nominal
   and delivered rates.
 
+Every tier — the CLI, the telemetry shard, the live monitor and each
+matrix trial — builds its document with :func:`build_coverage`, and
+:func:`merge_coverage` folds documents; the sampling periods come from
+:func:`~repro.obs.provenance.mark_periods`, the walk witnesses use.
+
 Determinism contract: a coverage document is a pure function of the
 detector's counters, sampling marks, and race list.  Unlike
 ``repro/race-report/v1`` it carries **no backend label at all**, so
@@ -43,17 +48,16 @@ live from any campaign.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .provenance import SyncIndex
+from .provenance import mark_periods, period_of
+from .reports import _merge_label
 
 __all__ = [
     "COVERAGE_SCHEMA",
-    "ProportionalityAuditor",
     "sync_op_split",
     "effective_rate_ci",
     "build_coverage",
-    "coverage_from_sigs",
     "merge_coverage",
     "validate_coverage",
     "render_coverage",
@@ -114,10 +118,8 @@ def effective_rate_ci(
     return sampled / total, [_rounded(lo), _rounded(hi)]
 
 
-def _period_stats(marks: Sequence[Tuple[int, bool]]) -> Dict:
-    """Sampling-period counts from deduplicated (vt, entering) marks."""
-    index = SyncIndex({}, list(marks), source="quality", complete=True)
-    periods = index.periods()
+def _period_stats(periods: Sequence[Tuple[int, Optional[int]]]) -> Dict:
+    """Sampling-period counts from :func:`mark_periods`' periods."""
     open_periods = sum(1 for _, end in periods if end is None)
     return {
         "count": len(periods),
@@ -127,16 +129,12 @@ def _period_stats(marks: Sequence[Tuple[int, bool]]) -> Dict:
 
 
 def _attribute_races(
-    races: Sequence, marks: Sequence[Tuple[int, bool]]
-) -> Tuple[Optional[int], Optional[int]]:
-    """(first accesses inside a sampling period, outside) — or (None,
-    None) when no marks exist to attribute against."""
-    if not marks:
-        return None, None
-    index = SyncIndex({}, list(marks), source="quality", complete=True)
+    races: Sequence, periods: Sequence[Tuple[int, Optional[int]]]
+) -> Tuple[int, int]:
+    """(first accesses inside a sampling period, outside)."""
     inside = 0
     for race in races:
-        if index.period_of(race.first_index) is not None:
+        if period_of(periods, race.first_index) is not None:
             inside += 1
     return inside, len(races) - inside
 
@@ -195,7 +193,9 @@ def build_coverage(
     """
     sampled, total = sync_op_split(counters or {})
     rate, rate_ci = effective_rate_ci(sampled, total)
-    inside, outside = _attribute_races(races, marks)
+    periods = mark_periods(marks)
+    # no marks, nothing to attribute against: null, not zero
+    inside, outside = _attribute_races(races, periods) if marks else (None, None)
     return {
         "schema": COVERAGE_SCHEMA,
         "source": source,
@@ -210,7 +210,7 @@ def build_coverage(
             "effective_rate": _rounded(rate),
             "ci95": rate_ci,
         },
-        "periods": _period_stats(marks),
+        "periods": _period_stats(periods),
         "races": {
             "dynamic": len(races),
             "first_in_period": inside,
@@ -220,128 +220,7 @@ def build_coverage(
     }
 
 
-class _SigFirst:
-    """First-access view of a ``CoreStats.race_sigs`` tuple."""
-
-    __slots__ = ("first_index",)
-
-    def __init__(self, sig: Tuple) -> None:
-        self.first_index = sig[1]
-
-
-def coverage_from_sigs(
-    sigs: Iterable[Tuple],
-    *,
-    source: str,
-    detector: Optional[str] = None,
-    workload: Optional[str] = None,
-    nominal_rate: Optional[float] = None,
-    counters: Optional[Dict[str, int]] = None,
-    marks: Sequence[Tuple[int, bool]] = (),
-    events: int = 0,
-) -> Dict:
-    """A coverage document from ``CoreStats.race_sigs`` (matrix workers
-    ship no sampling marks, so attribution is null unless provided)."""
-    return build_coverage(
-        source=source,
-        detector=detector,
-        workload=workload,
-        nominal_rate=nominal_rate,
-        counters=counters,
-        marks=marks,
-        races=[_SigFirst(sig) for sig in sigs],
-        events=events,
-    )
-
-
-class ProportionalityAuditor:
-    """Accumulate one run's detection-quality evidence, then account.
-
-    The auditor is the single-run builder behind every tier: offline
-    ``analyze``/``detect``, the live :class:`~repro.live.RaceMonitor`,
-    and the telemetry shard workers all feed the same three streams —
-    counter snapshots, sampling marks, and the race list — and call
-    :meth:`coverage` for the document.  Each ``observe_*`` call
-    *replaces* its stream (counters and race lists are cumulative at
-    the source), so the auditor is naturally re-entrant: finalize,
-    stream more events, finalize again, and the totals refresh instead
-    of double-counting — the same contract as ``RunObserver.finalize``.
-    """
-
-    __slots__ = (
-        "source", "detector", "workload", "nominal_rate",
-        "_counters", "_marks", "_races", "_events",
-    )
-
-    def __init__(
-        self,
-        *,
-        source: str = "audit",
-        detector: Optional[str] = None,
-        workload: Optional[str] = None,
-        nominal_rate: Optional[float] = None,
-    ) -> None:
-        self.source = source
-        self.detector = detector
-        self.workload = workload
-        self.nominal_rate = nominal_rate
-        self._counters: Dict[str, int] = {}
-        self._marks: List[Tuple[int, bool]] = []
-        self._races: List = []
-        self._events = 0
-
-    def observe_counters(self, counters) -> None:
-        """Latest cumulative operation counters (OpCounters or snapshot)."""
-        snap = counters.snapshot() if hasattr(counters, "snapshot") else counters
-        self._counters = dict(snap)
-
-    def observe_marks(self, marks: Sequence[Tuple[int, bool]]) -> None:
-        """Latest full list of (vt, entering) sampling transitions."""
-        self._marks = list(marks)
-
-    def observe_races(self, races: Sequence) -> None:
-        """Latest full race list (objects exposing ``first_index``)."""
-        self._races = list(races)
-
-    def observe_events(self, events: int) -> None:
-        """Total events analyzed so far."""
-        self._events = events
-
-    def observe_detector(self, detector, events: Optional[int] = None) -> None:
-        """Convenience: pull counters + races straight off a detector."""
-        self.observe_counters(detector.counters)
-        self.observe_races(detector.races)
-        if events is not None:
-            self.observe_events(events)
-
-    def effective_rate(self) -> float:
-        sampled, total = sync_op_split(self._counters)
-        return sampled / total if total else 0.0
-
-    def coverage(self) -> Dict:
-        """The accumulated evidence as one coverage document."""
-        return build_coverage(
-            source=self.source,
-            detector=self.detector,
-            workload=self.workload,
-            nominal_rate=self.nominal_rate,
-            counters=self._counters,
-            marks=self._marks,
-            races=self._races,
-            events=self._events,
-        )
-
-
 # -- merging ------------------------------------------------------------------
-
-
-def _merge_label(values: List) -> Optional[str]:
-    distinct = sorted({v for v in values if v is not None}, key=str)
-    if not distinct:
-        return None
-    if len(distinct) == 1:
-        return distinct[0]
-    return "*"
 
 
 def _merge_number(values: List) -> Optional[float]:

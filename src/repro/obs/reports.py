@@ -9,27 +9,32 @@ threads and variables, and (when a :class:`~repro.obs.provenance.SyncIndex`
 or flight-recorder context is available) a happens-before witness for a
 representative occurrence.
 
+Two functions make every report.  :func:`build_report` turns one run's
+race list into a document: offline, live and streamed runs pass the
+detector's races, and matrix trials pass
+:meth:`~repro.detectors.base.Race.from_sig` of their
+``CoreStats.race_sigs``.  :func:`merge_reports` folds documents, in task
+order for a matrix, exactly like the metrics merge.  Each keeps its own
+rule for a group's representative occurrence, and both write group
+entries through one emitter in one site-pair order.
+
 Determinism contract: a report is a pure function of the detector's race
 list plus the witness inputs.  Group order, list order, and JSON key
 order are all fixed, so reports are byte-identical across state
 backends, scalar vs batched dispatch, and ``--jobs`` values (the
-``backend`` label is the one field that names the backend).  Matrix
-shards build per-trial reports from ``CoreStats.race_sigs`` and
-:func:`merge_reports` folds them in task order, exactly like the metrics
-merge.
+``backend`` label is the one field that names the backend).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .provenance import SyncIndex, extract_witness
 
 __all__ = [
     "REPORT_SCHEMA",
     "build_report",
-    "report_from_sigs",
     "merge_reports",
     "validate_report",
     "render_report_table",
@@ -54,18 +59,37 @@ def _site_key(site) -> Tuple:
     return (1, 0, str(site))
 
 
-class _SigRace:
-    """Race-shaped view of a ``CoreStats.race_sigs`` tuple."""
+def _race_docs(groups: Dict[Tuple, Dict]) -> List[Dict]:
+    """The report's group entries, ordered by site pair.
 
-    __slots__ = (
-        "index", "first_index", "var", "kind",
-        "first_tid", "first_site", "second_tid", "second_site",
-    )
-
-    def __init__(self, sig: Tuple) -> None:
-        (self.index, self.first_index, self.var, self.kind,
-         self.first_tid, self.first_site, self.second_tid,
-         self.second_site) = sig
+    Each accumulated group holds ``kinds``/``vars``/``first_tids``/
+    ``second_tids`` sets, ``count``, ``n_vars`` (a lower bound on the
+    distinct variables) and ``first_vt``/``last_vt``; its ``best`` dict
+    supplies the representative's site names, witness and context.
+    """
+    docs: List[Dict] = []
+    for key in sorted(groups, key=lambda k: (_site_key(k[0]), _site_key(k[1]))):
+        g = groups[key]
+        best = g["best"]
+        docs.append(
+            {
+                "first_site": key[0],
+                "second_site": key[1],
+                "first_site_name": best.get("first_site_name"),
+                "second_site_name": best.get("second_site_name"),
+                "kinds": sorted(g["kinds"]),
+                "count": g["count"],
+                "vars": sorted(g["vars"])[:_GROUP_CAP],
+                "n_vars": max(g["n_vars"], len(g["vars"])),
+                "first_vt": g["first_vt"],
+                "last_vt": g["last_vt"],
+                "first_tids": sorted(g["first_tids"])[:_GROUP_CAP],
+                "second_tids": sorted(g["second_tids"])[:_GROUP_CAP],
+                "witness": best.get("witness"),
+                "context": best.get("context"),
+            }
+        )
+    return docs
 
 
 def build_report(
@@ -98,6 +122,7 @@ def build_report(
                 "kinds": set(),
                 "count": 0,
                 "vars": set(),
+                "n_vars": 0,
                 "first_vt": race.index,
                 "last_vt": race.index,
                 "first_tids": set(),
@@ -118,33 +143,18 @@ def build_report(
         if key not in representatives or rank < representatives[key][0]:
             representatives[key] = (rank, pos)
 
-    race_docs: List[Dict] = []
-    for key in sorted(groups, key=lambda k: (_site_key(k[0]), _site_key(k[1]))):
-        g = groups[key]
-        rep_pos = representatives[key][1]
-        rep = races[rep_pos]
-        witness = extract_witness(rep, sync) if sync is not None else None
+    for key, (_, rep_pos) in representatives.items():
         context = None
         if contexts is not None and rep_pos < len(contexts):
             context = contexts[rep_pos] or None
-        first_site, second_site = key
-        doc: Dict = {
-            "first_site": first_site,
-            "second_site": second_site,
-            "first_site_name": site_name(first_site) if site_name else None,
-            "second_site_name": site_name(second_site) if site_name else None,
-            "kinds": sorted(g["kinds"]),
-            "count": g["count"],
-            "vars": sorted(g["vars"])[:_GROUP_CAP],
-            "n_vars": len(g["vars"]),
-            "first_vt": g["first_vt"],
-            "last_vt": g["last_vt"],
-            "first_tids": sorted(g["first_tids"])[:_GROUP_CAP],
-            "second_tids": sorted(g["second_tids"])[:_GROUP_CAP],
-            "witness": witness,
+        groups[key]["best"] = {
+            "first_site_name": site_name(key[0]) if site_name else None,
+            "second_site_name": site_name(key[1]) if site_name else None,
+            "witness": (extract_witness(races[rep_pos], sync)
+                        if sync is not None else None),
             "context": context,
         }
-        race_docs.append(doc)
+    race_docs = _race_docs(groups)
 
     report: Dict = {
         "schema": REPORT_SCHEMA,
@@ -160,27 +170,6 @@ def build_report(
     if discarded is not None:
         report["discarded"] = discarded
     return report
-
-
-def report_from_sigs(
-    sigs: Iterable[Tuple],
-    *,
-    source: str,
-    detector: Optional[str] = None,
-    backend: Optional[str] = None,
-    rate: Optional[float] = None,
-    events: int = 0,
-) -> Dict:
-    """A report from ``CoreStats.race_sigs`` (matrix workers ship no
-    recorder, so these reports carry counts and sites but no witness)."""
-    return build_report(
-        [_SigRace(sig) for sig in sigs],
-        source=source,
-        detector=detector,
-        backend=backend,
-        rate=rate,
-        events=events,
-    )
 
 
 def _merge_label(values: List) -> Optional[str]:
@@ -222,7 +211,7 @@ def merge_reports(reports: Sequence[Dict], source: Optional[str] = None) -> Dict
             g["kinds"].update(race["kinds"])
             g["count"] += race["count"]
             g["vars"].update(race["vars"])
-            g["n_vars"] = max(g["n_vars"], race["n_vars"], len(g["vars"]))
+            g["n_vars"] = max(g["n_vars"], race["n_vars"])
             g["first_tids"].update(race["first_tids"])
             g["second_tids"].update(race["second_tids"])
             if race["first_vt"] < g["first_vt"]:
@@ -231,28 +220,7 @@ def merge_reports(reports: Sequence[Dict], source: Optional[str] = None) -> Dict
             if race["last_vt"] > g["last_vt"]:
                 g["last_vt"] = race["last_vt"]
 
-    race_docs: List[Dict] = []
-    for key in sorted(groups, key=lambda k: (_site_key(k[0]), _site_key(k[1]))):
-        g = groups[key]
-        best = g["best"]
-        race_docs.append(
-            {
-                "first_site": key[0],
-                "second_site": key[1],
-                "first_site_name": best.get("first_site_name"),
-                "second_site_name": best.get("second_site_name"),
-                "kinds": sorted(g["kinds"]),
-                "count": g["count"],
-                "vars": sorted(g["vars"])[:_GROUP_CAP],
-                "n_vars": g["n_vars"],
-                "first_vt": g["first_vt"],
-                "last_vt": g["last_vt"],
-                "first_tids": sorted(g["first_tids"])[:_GROUP_CAP],
-                "second_tids": sorted(g["second_tids"])[:_GROUP_CAP],
-                "witness": best.get("witness"),
-                "context": best.get("context"),
-            }
-        )
+    race_docs = _race_docs(groups)
     return {
         "schema": REPORT_SCHEMA,
         "source": source or _merge_label([r.get("source") for r in reports]) or "merged",

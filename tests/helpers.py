@@ -19,16 +19,7 @@ __all__ = [
 
 def race_sig(race: Race) -> Tuple:
     """A full dynamic signature of a race report (for exact comparisons)."""
-    return (
-        race.index,
-        race.first_index,
-        race.var,
-        race.kind,
-        race.first_tid,
-        race.first_site,
-        race.second_tid,
-        race.second_site,
-    )
+    return race.sig
 
 
 def race_sigs(races: Iterable[Race]) -> List[Tuple]:

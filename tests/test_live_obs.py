@@ -1,10 +1,13 @@
 """Live monitor wired into the observability stack."""
 
 import random
+import sys
+import threading
 
 from repro.core.pacer import PacerDetector
 from repro.live import RaceMonitor, SamplingDriver
-from repro.obs import FlightRecorder, MetricsRegistry, RunObserver
+from repro.live import monitor as monitor_module
+from repro.obs import FlightRecorder, MetricsRegistry, RunObserver, SyncIndex
 from repro.obs.reports import validate_report
 
 
@@ -96,6 +99,68 @@ class TestLiveRaceReport:
         assert validate_report(doc) == []
         assert doc["races"][0]["witness"] is None
         assert "test_live_obs.py" in doc["races"][0]["first_site_name"]
+
+    def test_recorder_snapshot_taken_under_the_mutex(self, monkeypatch):
+        """Tracked threads add to the recorder's per-thread logs while
+        they run, so ``race_report`` must copy them under the monitor
+        mutex (else: "dictionary changed size during iteration")."""
+        mon, _obs, _registry = observed_monitor()
+        run_racy(mon)
+        held = []
+
+        class Spy(monitor_module.SyncIndex):
+            @classmethod
+            def from_recorder(cls, recorder):
+                held.append(mon._mutex.locked())
+                return SyncIndex.from_recorder(recorder)
+
+        monkeypatch.setattr(monitor_module, "SyncIndex", Spy)
+        doc = mon.race_report()
+        assert held == [True]
+        assert validate_report(doc) == []
+
+    def test_reports_while_tracked_threads_run(self):
+        """Stress: five waves of 200 tracked threads each take a lock (a
+        new sync log per thread) while a reporter loops ``race_report``
+        and ``coverage_report``, with a tiny switch interval."""
+        mon, _obs, _registry = observed_monitor(detector=PacerDetector())
+        lock = mon.lock("L")
+        stop = threading.Event()
+        errors = []
+
+        def report():
+            while not stop.is_set():
+                try:
+                    assert validate_report(mon.race_report()) == []
+                    mon.coverage_report()
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+                    return
+
+        def body():
+            with lock:
+                pass
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        reporter = threading.Thread(target=report)
+        threads = []
+        try:
+            reporter.start()
+            for _ in range(5):
+                wave = [mon.thread(body) for _ in range(200)]
+                for t in wave:
+                    t.start()
+                for t in wave:
+                    t.join(timeout=30)
+                threads += wave
+        finally:
+            stop.set()
+            reporter.join(timeout=30)
+            sys.setswitchinterval(old)
+        assert not reporter.is_alive()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestLiveSamplingAttribution:

@@ -51,7 +51,7 @@ class TestFlightRecorder:
         assert recorder.events_recorded == 10
 
     def test_sync_side_log_outlives_access_ring(self):
-        recorder = FlightRecorder(window=2, sync_window=64)
+        recorder = FlightRecorder(window=2)
         recorder.record(0, "acq", tid=0, target=100, site=0)
         for i in range(1, 8):
             recorder.record(i, "wr", tid=0, target=1, site=0)

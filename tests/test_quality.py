@@ -27,7 +27,6 @@ from repro.live.monitor import SamplingDriver
 from repro.obs import FlightRecorder, RunObserver
 from repro.obs.quality import (
     COVERAGE_SCHEMA,
-    ProportionalityAuditor,
     build_coverage,
     effective_rate_ci,
     merge_coverage,
@@ -142,19 +141,23 @@ class TestBuildAndValidate:
 
 class TestAuditor:
     def test_reentrant_accumulation(self):
+        """Building coverage is pure: a second build over the same run
+        gives an equal document, nothing accumulates between calls."""
         runtime, detector, obs = _live_run()
-        auditor = ProportionalityAuditor(
-            source="audit", detector=detector.name, nominal_rate=0.1
-        )
-        # observe twice: the second call must replace, not double-count
-        auditor.observe_detector(detector, events=runtime.events)
-        auditor.observe_marks(obs.sampling_marks)
-        first = auditor.coverage()
-        auditor.observe_detector(detector, events=runtime.events)
-        auditor.observe_marks(obs.sampling_marks)
-        assert auditor.coverage() == first
+
+        def build():
+            return build_coverage(
+                source="audit", detector=detector.name, nominal_rate=0.1,
+                counters=detector.counters.snapshot(),
+                marks=obs.sampling_marks, races=detector.races,
+                events=runtime.events,
+            )
+
+        first = build()
+        assert build() == first
         assert validate_coverage(first) == []
-        assert auditor.effective_rate() == pytest.approx(
+        sampled, total = sync_op_split(detector.counters.snapshot())
+        assert sampled / total == pytest.approx(
             first["sync"]["effective_rate"], abs=1e-9
         )
 

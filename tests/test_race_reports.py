@@ -1,5 +1,6 @@
 """Structured race reports: schema, merging, rendering, flow events."""
 
+import dataclasses
 import json
 
 import pytest
@@ -19,7 +20,6 @@ from repro.obs.reports import (
     merge_reports,
     render_report_markdown,
     render_report_table,
-    report_from_sigs,
     validate_report,
     write_report,
 )
@@ -141,16 +141,25 @@ class TestValidateReport:
 class TestReportFromSigs:
     def test_matches_build_report(self):
         races = sample_races()
-        sigs = [
-            (r.index, r.first_index, r.var, r.kind, r.first_tid, r.first_site,
-             r.second_tid, r.second_site)
-            for r in races
-        ]
-        via_sigs = report_from_sigs(sigs, source="t", detector="ft", events=4)
+        via_sigs = build_report(
+            [Race.from_sig(r.sig) for r in races],
+            source="t", detector="ft", events=4,
+        )
         direct = build_report(races, source="t", detector="ft", events=4)
         assert json.dumps(via_sigs, sort_keys=True) == json.dumps(
             direct, sort_keys=True
         )
+
+    def test_from_sig_round_trips_all_but_first_clock(self):
+        for race in sample_races() + [
+            make_race(var=7, kind="rw", first_tid=3, first_clock=9,
+                      first_site="a.py:1", second_tid=4,
+                      second_site="b.py:2", index=40, first_index=12),
+        ]:
+            back = Race.from_sig(race.sig)
+            assert back.sig == race.sig
+            assert back.first_clock == -1
+            assert back == dataclasses.replace(race, first_clock=-1)
 
 
 class TestMergeReports:
