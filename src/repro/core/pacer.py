@@ -140,6 +140,9 @@ class PacerDetector(Detector):
         Rule 4 (version fast path): already received this version — O(1).
         Rule 5 (happens-before): clocks ordered; record the version only.
         Rule 6 (concurrent): real join; clone first if shared.
+
+        One comparison pass (``source_clock.ahead_of``) both picks Rule 5
+        or 6 and lists the entries Rule 6 writes.
         """
         if source_clock is None or source_vepoch == VE_BOTTOM:
             # The source clock is the bottom clock; a join is a no-op.
@@ -153,19 +156,20 @@ class PacerDetector(Detector):
                 self._count_join(fast=True)  # Rule 4: same version epoch
                 return
         self._count_join(fast=False)
-        if source_clock.leq(tmeta.clock):
+        clock = tmeta.clock
+        ahead = source_clock.ahead_of(clock)
+        if not ahead:
             # Rule 5: ordered; no join needed, just learn the version.
             if real:
                 tmeta.ver.set(sv_tid, sv_version)
             return
-        # Rule 6: concurrent — perform the join.
-        clock = tmeta.clock
+        # Rule 6: concurrent — write the entries where the source is ahead.
         if clock.shared:
             clock = clock.clone()
             tmeta.clock = clock
             self.counters.clones += 1
             self.counters.words_allocated += 1 + len(clock)
-        clock.join(source_clock)
+        clock.join(source_clock, ahead)
         tmeta.ver.increment(tid)
         if real:
             tmeta.ver.set(sv_tid, sv_version)

@@ -46,6 +46,46 @@ class TestSharing:
         # the lock still references the old (shared) value
         assert d._lock[L].clock is shared_clock
 
+    def test_rule6_join_clones_shared_clock(self):
+        # t0 and t1 leave the sampling period concurrent; t1's release
+        # of L2 shares its clock, so the Rule 6 join at its acquire of L
+        # must clone before writing
+        d = PacerDetector()
+        d.run([sbegin(), fork(0, 1), acq(0, L), rel(0, L), send(),
+               acq(1, L2), rel(1, L2)])
+        shared_clock = d._thread[1].clock
+        assert d._lock[L2].clock is shared_clock and shared_clock.shared
+        lock_value = list(shared_clock._c)
+        assert not d._lock[L].clock.leq(shared_clock)  # concurrent
+        clones = d.counters.clones
+        slow = d.counters.joins_slow_nonsampling
+        d.apply(acq(1, L))
+        assert d.counters.joins_slow_nonsampling == slow + 1
+        assert d.counters.clones == clones + 1
+        assert d._lock[L2].clock is shared_clock
+        assert shared_clock._c == lock_value
+        assert d._thread[1].clock is not shared_clock
+        assert d._lock[L].clock.leq(d._thread[1].clock)
+
+    def test_rule9_join_clones_shared_volatile_clock(self):
+        # t0's non-sampling volatile write shares t0's clock with V; t1's
+        # concurrent write then joins into V's clock (Rule 9), which
+        # must clone instead of writing into t0's clock
+        d = PacerDetector()
+        d.run([sbegin(), fork(0, 1), wr(0, X), send(), vol_wr(0, V)])
+        shared_clock = d._thread[0].clock
+        assert d._vol[V].clock is shared_clock and shared_clock.shared
+        thread_value = list(shared_clock._c)
+        assert not shared_clock.leq(d._thread[1].clock)  # concurrent
+        clones = d.counters.clones
+        d.apply(vol_wr(1, V))
+        assert d._vol[V].vepoch == VE_TOP
+        assert d.counters.clones == clones + 1
+        assert d._thread[0].clock is shared_clock
+        assert shared_clock._c == thread_value
+        assert d._vol[V].clock is not shared_clock
+        assert d._thread[1].clock.leq(d._vol[V].clock)
+
     def test_sharing_never_corrupts_lock_clock(self):
         d = PacerDetector(sampling=False)
         d.run([acq(0, L), rel(0, L)])
