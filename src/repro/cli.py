@@ -136,6 +136,22 @@ class _BadTrace(Exception):
     """A trace a command cannot use: :func:`main` prints it and exits 3."""
 
 
+def _count(args, dest: str) -> int:
+    """The value of a count flag; below 1 it is a usage error."""
+    value = getattr(args, dest)
+    if value < 1:
+        flag = "--" + dest.replace("_", "-")
+        raise _UsageError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
+def _server_failed(address: str, exc: Exception) -> int:
+    """Report a failed exchange with a telemetry server; exit code 1."""
+    print(f"telemetry server {address}: {type(exc).__name__}: {exc}",
+          file=sys.stderr)
+    return 1
+
+
 def _load(path: Path, fmt: str, columns: bool = False):
     """Read a trace file and check its feasibility in whichever form it
     is read; ``fmt="auto"`` sniffs the first four bytes.
@@ -302,6 +318,7 @@ def _make_observer(args) -> Optional[RunObserver]:
     None (the disabled path: detectors see a single untaken branch).  A
     race report sink additionally attaches a flight recorder, which opts
     the run into per-event context capture."""
+    sample_every = _count(args, "sample_every")
     if not (
         getattr(args, "json", False)
         or args.metrics_out or args.timeline_out or args.trace_out
@@ -309,7 +326,7 @@ def _make_observer(args) -> Optional[RunObserver]:
     ):
         return None
     return RunObserver(
-        sample_every=args.sample_every or DEFAULT_SAMPLE_EVERY,
+        sample_every=sample_every,
         recorder=FlightRecorder() if args.report_out else None,
     )
 
@@ -435,7 +452,7 @@ def cmd_analyze(args) -> int:
     if obs is not None:
         obs.attach(detector)
     if args.batch:
-        detector.run_batch(trace, batch_size=args.batch_size)
+        detector.run_batch(trace, batch_size=_count(args, "batch_size"))
     else:
         detector.run(trace)
     if obs is not None:
@@ -499,7 +516,7 @@ def cmd_detect(args) -> int:
 def cmd_profile(args) -> int:
     """Run a workload live with full observability and write all sinks."""
     detector = DETECTORS[args.detector](backend=args.state_backend)
-    obs = RunObserver(sample_every=args.sample_every)
+    obs = RunObserver(sample_every=_count(args, "sample_every"))
     runtime, rate = _live_run(
         args, args.workload, detector, obs, default_rate=10.0,
         track_memory=True,
@@ -761,7 +778,7 @@ def cmd_explain(args) -> int:
     detector = DETECTORS[args.detector](backend=args.state_backend)
     recorder = FlightRecorder(window=args.window)
     obs = RunObserver(
-        sample_every=args.sample_every or DEFAULT_SAMPLE_EVERY, recorder=recorder
+        sample_every=_count(args, "sample_every"), recorder=recorder
     )
     obs.attach(detector)
     detector.run(trace)
@@ -945,10 +962,10 @@ def cmd_serve(args) -> int:
 
     config = ServerConfig(
         address=args.address,
-        n_shards=args.shards,
+        n_shards=_count(args, "shards"),
         shard_mode=args.shard_mode,
-        credits=args.credits,
-        max_sessions=args.max_sessions,
+        credits=_count(args, "credits"),
+        max_sessions=_count(args, "max_sessions"),
         spool_dir=args.spool_dir,
         log_path=args.log_out,
         http=args.http,
@@ -1024,9 +1041,10 @@ def cmd_stream(args) -> int:
     Streams through :class:`~repro.net.ResilientClient`, so transient
     connection loss, corrupted frames, and BUSY pushback are absorbed by
     reconnect-with-resume inside the ``--retries`` budget.  Exits 1 when
-    the session never closed, in either output mode.
+    the server refuses the session, cannot be reached within the budget,
+    or never closes the session, in either output mode.
     """
-    from .net import ResilientClient
+    from .net import ProtocolError, ResilientClient
 
     trace = _load(Path(args.trace), args.format)
     client = ResilientClient(
@@ -1034,12 +1052,15 @@ def cmd_stream(args) -> int:
         args.session,
         detector=args.detector,
         backend=args.state_backend,
-        chunk_size=args.chunk_size,
+        chunk_size=_count(args, "chunk_size"),
         retries=args.retries,
         backoff_base=args.backoff,
     )
-    client.connect()
-    client.send_events(list(trace.events))
+    try:
+        client.connect()
+        client.send_events(list(trace.events))
+    except (OSError, ProtocolError) as exc:
+        return _server_failed(args.address, exc)
     summary = client.close()
     if args.json:
         _write_json(
@@ -1133,10 +1154,13 @@ def cmd_net_report(args) -> int:
     """Query a telemetry server's live merged report (optionally follow)."""
     import time
 
-    from .net import query_server
+    from .net import ProtocolError, query_server
 
     while True:
-        doc = query_server(args.address, trace=bool(args.trace_out))
+        try:
+            doc = query_server(args.address, trace=bool(args.trace_out))
+        except (OSError, ProtocolError) as exc:
+            return _server_failed(args.address, exc)
 
         def write_metrics(path: Path) -> None:
             # round-trip through a registry for the canonical byte format
@@ -1188,29 +1212,29 @@ def cmd_top(args) -> int:
     """Live operator console over a telemetry server (``repro top``)."""
     import time
 
-    from .net import build_top_status, query_server, render_top
+    from .net import ProtocolError, build_top_status, query_server, render_top
 
-    if args.once:
-        status = build_top_status(query_server(args.address))
-        if args.json:
-            _write_json(status)
-        else:
-            print(render_top(status), end="")
-        return 0
     prev = None
     try:
-        while True:  # pragma: no cover - interactive path
+        while True:
             started = time.monotonic()
+            try:
+                doc = query_server(args.address)
+            except (OSError, ProtocolError) as exc:
+                return _server_failed(args.address, exc)
             status = build_top_status(
-                query_server(args.address),
-                prev=prev,
+                doc, prev=prev,
                 interval=args.interval if prev is not None else None,
             )
             if args.json:
                 _write_json(status)
-            else:
+            elif args.once:
+                print(render_top(status), end="")
+            else:  # pragma: no cover - interactive path
                 # clear screen + home, like watch(1)
                 print("\x1b[2J\x1b[H" + render_top(status), end="", flush=True)
+            if args.once:
+                return 0
             prev = status
             time.sleep(max(args.interval - (time.monotonic() - started), 0.05))
     except KeyboardInterrupt:  # pragma: no cover - interactive path

@@ -20,14 +20,13 @@ Layers (see ``docs/TELEMETRY.md`` for the wire format and lifecycle):
 * :mod:`repro.net.server` — the front tier: accepts connections,
   spools each session's frames for crash replay, routes chunks to
   shards, grants credits, and merges finalized session reports;
-* :mod:`repro.net.client` — :class:`TelemetryClient` (stream any event
-  sequence) and :class:`TelemetryMonitor` (a
+* :mod:`repro.net.client` — :class:`ResilientClient`, the one client
+  (stream any event sequence as one session, with automatic
+  reconnect-with-resume, seeded jittered backoff, a bounded retry
+  budget and BUSY/``retry_after`` awareness; ``retries=0`` never
+  reconnects on its own), and :class:`TelemetryMonitor` (a
   :class:`~repro.live.RaceMonitor`-backed shim that forwards a real
   threaded program's events to a server instead of analyzing locally);
-* :mod:`repro.net.resilient` — :class:`ResilientClient`, the
-  self-healing wrapper every production path uses: automatic
-  reconnect-with-resume, seeded jittered backoff, bounded retry
-  budgets, and BUSY/``retry_after`` awareness;
 * :mod:`repro.net.chaos` — :class:`ChaosProxy`, a deterministic
   fault-injecting proxy (connection drops, frame corruption and
   truncation, stalls, duplication) driven by the shared
@@ -40,7 +39,12 @@ Layers (see ``docs/TELEMETRY.md`` for the wire format and lifecycle):
 """
 
 from .chaos import ChaosProxy, wire_plan
-from .client import TelemetryClient, TelemetryMonitor, parse_address, query_server
+from .client import (
+    ResilientClient,
+    TelemetryMonitor,
+    parse_address,
+    query_server,
+)
 from .protocol import (
     PROTOCOL_SCHEMA,
     FrameCorrupt,
@@ -54,7 +58,6 @@ from .protocol import (
     SessionStateError,
     UnknownFrameType,
 )
-from .resilient import ResilientClient
 from .server import ServerConfig, TelemetryServer
 from .top import TOP_SCHEMA, build_top_status, render_top, validate_top_status
 
@@ -76,7 +79,6 @@ __all__ = [
     "ServerConfig",
     "SessionEvicted",
     "SessionStateError",
-    "TelemetryClient",
     "TelemetryMonitor",
     "TelemetryServer",
     "UnknownFrameType",

@@ -1,17 +1,55 @@
 """Telemetry clients: stream traces or live programs to a server.
 
-Two layers:
+Two classes:
 
-* :class:`TelemetryClient` — the wire client.  Single-threaded and
-  synchronous by design (deterministic, lock-free): it sends EVENTS
-  frames while it holds credits, and when the window is exhausted it
-  *blocks* reading frames until the server returns a CREDIT — that stall
-  is the backpressure mechanism, counted in :attr:`credit_waits` so the
-  soak suite can prove the window actually closed.  Every sent chunk
-  stays in the unacked buffer until its CREDIT ``ack`` arrives, which is
-  what makes :meth:`reconnect` (HELLO with ``resume``) lossless: the
-  server names its last durably applied sequence number and the client
-  retransmits everything newer.
+* :class:`ResilientClient` — one session's connection, and the only
+  client.  Single-threaded and synchronous by design (deterministic,
+  lock-free): it sends EVENTS frames while it holds credits, and when
+  the window is exhausted it *blocks* reading frames until the server
+  returns a CREDIT — that stall is the backpressure mechanism, counted
+  in :attr:`~ResilientClient.credit_waits` so the soak suite can prove
+  the window actually closed.  Every sent chunk stays in the unacked
+  buffer until its CREDIT ``ack`` arrives, which is what makes a resume
+  (HELLO with ``resume``) lossless: the server names its last durably
+  applied sequence number and the client retransmits everything newer.
+
+  The client heals itself:
+
+  - every transport or protocol failure (``OSError``, a corrupted or
+    truncated frame, a superseded connection, a BUSY or eviction
+    answer) triggers a reconnect-with-resume and a retry of the
+    interrupted operation from exactly where it stopped — chunk-aligned,
+    so the server's duplicate suppression makes delivery exactly-once
+    even when a frame died on the wire after being applied;
+  - reconnects back off exponentially with **seeded** jitter (a
+    ``random.Random`` derived from the session name unless given), so
+    a thousand clients dropped by one server restart do not stampede
+    back in lockstep, and chaos tests replay the identical schedule;
+  - a server-advised ``retry_after`` (BUSY handshakes, evictions)
+    floors the computed delay;
+  - the budget (``retries``) counts only reconnects that make no
+    progress, so a server that is truly gone produces the *original*
+    named error, not an infinite loop.  With ``retries=0`` the client
+    never reconnects on its own; :meth:`~ResilientClient.reconnect`
+    resumes by hand;
+  - an operation that fails for good leaves the client disconnected,
+    with its unacked buffer intact for a later resume;
+  - ``close()`` is idempotent, never raises, and completes the close
+    handshake under faults: a summary lost to a dying connection is
+    re-fetched on a fresh resume.
+
+  Config errors never retry: an unknown detector/backend, a schema
+  mismatch, or a session name that is taken is a
+  :class:`~repro.net.protocol.HandshakeError` and raises at once.  The
+  one exception is a HELLO that was written to a socket but whose
+  HELLO_ACK never came back: it may have opened the session, so when
+  the retry is refused with "already exists" that session is this
+  client's, and the retry resumes it.  A *first* HELLO refused that way
+  raises — another client owns the name.
+
+  Every reconnect is recorded as a ``reconnect`` instant on the client's
+  span recorder; the server mines those from the shipped SPANS batch
+  into its ``net_retries_total`` counter.
 
 * :class:`TelemetryMonitor` — the :class:`~repro.live.RaceMonitor`-backed
   shim.  A real threaded program uses the same ``shared``/``lock``/
@@ -26,9 +64,11 @@ Two layers:
 
 from __future__ import annotations
 
+import random
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import zlib
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs.tracing import PID_CLIENT_BASE, SpanRecorder, chunk_flow_id
 from ..trace.events import ID_TO_KIND, Event
@@ -40,6 +80,7 @@ from .protocol import (
     EventsChunk,
     FrameDecoder,
     FrameTruncated,
+    HandshakeError,
     Hello,
     HelloAck,
     ProtocolError,
@@ -54,13 +95,22 @@ from .protocol import (
 
 __all__ = [
     "ForwardingDetector",
-    "TelemetryClient",
+    "ResilientClient",
     "TelemetryMonitor",
     "parse_address",
     "query_server",
 ]
 
 DEFAULT_CHUNK_SIZE = 512
+
+#: default per-operation reconnect budget
+DEFAULT_RETRIES = 8
+
+#: backoff schedule defaults: base * 2^attempt, capped, jittered
+DEFAULT_BACKOFF_BASE = 0.05
+DEFAULT_BACKOFF_MAX = 2.0
+
+T = TypeVar("T")
 
 
 def parse_address(address: str) -> Tuple[str, object]:
@@ -84,8 +134,15 @@ def parse_address(address: str) -> Tuple[str, object]:
     )
 
 
-class TelemetryClient:
-    """One session's connection to a telemetry server."""
+def _is_retryable(exc: Exception) -> bool:
+    """Transient failures retry; config errors surface immediately."""
+    if isinstance(exc, HandshakeError):
+        return False
+    return isinstance(exc, (OSError, ProtocolError))
+
+
+class ResilientClient:
+    """One session's self-healing connection to a telemetry server."""
 
     def __init__(
         self,
@@ -96,6 +153,10 @@ class TelemetryClient:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         timeout: float = 30.0,
         trace: bool = True,
+        retries: int = DEFAULT_RETRIES,
+        backoff_base: float = DEFAULT_BACKOFF_BASE,
+        backoff_max: float = DEFAULT_BACKOFF_MAX,
+        seed: Optional[int] = None,
     ) -> None:
         self.address = address
         self.session = session
@@ -103,6 +164,12 @@ class TelemetryClient:
         self.backend = backend
         self.chunk_size = chunk_size
         self.timeout = timeout
+        self.retries = retries
+        self.backoff_base = backoff_base
+        self.backoff_max = backoff_max
+        if seed is None:
+            seed = zlib.crc32(session.encode("utf-8"))
+        self._rng = random.Random(seed)
         self._sock: Optional[socket.socket] = None
         self._decoder = FrameDecoder()
         self._inbox: List = []
@@ -116,8 +183,18 @@ class TelemetryClient:
         self.events_sent = 0
         self.last_summary: Optional[Dict] = None
         #: the transport/protocol error a failed :meth:`close` swallowed
-        #: (None after a clean close) — retry layers inspect this
+        #: (None after a clean close)
         self.close_error: Optional[Exception] = None
+        #: total reconnect attempts performed over this client's life
+        self.retry_count = 0
+        #: wall-clock seconds spent sleeping in backoff
+        self.backoff_seconds = 0.0
+        #: True once a HELLO_ACK established the session: reconnects resume
+        self._established = False
+        #: True while a written HELLO has had no answer: it may have
+        #: opened the session without this client hearing so
+        self._hello_unanswered = False
+        self._closed = False
         #: wire-propagated tracing (connect/handshake/chunk-send/resume
         #: spans plus ``sent_ns`` chunk stamps); spans ship in a SPANS
         #: frame before CLOSE.  Cost is per chunk, never per event.
@@ -127,7 +204,7 @@ class TelemetryClient:
 
     # -- connection ----------------------------------------------------------
 
-    def _open(self) -> None:
+    def _dial(self) -> None:
         """Open the transport without speaking (used by query-only peers)."""
         kind, target = parse_address(self.address)
         if kind == "tcp":
@@ -140,7 +217,7 @@ class TelemetryClient:
         self._decoder = FrameDecoder()
         self._inbox = []
 
-    def connect(self, resume: bool = False) -> HelloAck:
+    def _handshake(self, resume: bool) -> HelloAck:
         """Open the socket and perform the versioned handshake.
 
         With ``resume=True`` the server replies with its last durably
@@ -149,7 +226,7 @@ class TelemetryClient:
         are retransmitted in order.
         """
         connect_start = time.monotonic_ns() // 1000
-        self._open()
+        self._dial()
         opened_at = time.monotonic_ns() // 1000
         self._send(
             Hello(
@@ -159,7 +236,9 @@ class TelemetryClient:
                 resume=resume,
             )
         )
+        self._hello_unanswered = True
         ack = self._wait_for(HelloAck)
+        self._hello_unanswered = False
         self.credits = ack.credits
         if self.trace and ack.trace_id:
             self.trace_id = ack.trace_id
@@ -199,12 +278,33 @@ class TelemetryClient:
                 raise
         return ack
 
+    def _hello(self) -> HelloAck:
+        """Say HELLO on a fresh connection: a new session until one was
+        established, a resume after that."""
+        maybe_ours = self._hello_unanswered
+        try:
+            ack = self._handshake(resume=self._established)
+        except HandshakeError as exc:
+            if (
+                self._established
+                or not maybe_ours
+                or "already exists" not in str(exc)
+            ):
+                raise
+            # an earlier HELLO of ours opened the session but its ack
+            # died on the wire — that session is ours, resume it
+            self._established = True
+            self.abort()
+            ack = self._handshake(resume=True)
+        self._established = True
+        return ack
+
     @property
     def connected(self) -> bool:
         return self._sock is not None
 
     def abort(self) -> None:
-        """Drop the connection without CLOSE (a dying client)."""
+        """Drop the connection without CLOSE (no retries, no healing)."""
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -212,22 +312,89 @@ class TelemetryClient:
                 self._sock = None
         self.credits = 0
 
+    def connect(self, resume: bool = False) -> HelloAck:
+        """Open the session (``resume``: an existing one), retrying
+        transient failures.  The first attempt connects at once; only
+        retries back off."""
+        if resume:
+            self._established = True
+        self.abort()
+        return self._retry(self._hello)
+
     def reconnect(self) -> HelloAck:
         """Resume this session on a fresh connection, by hand.
 
-        The raw client never reconnects on its own; this is how a
-        caller (a drain/restart script, a test) resumes after a drop.
-        :class:`~repro.net.resilient.ResilientClient` does the same
-        automatically, inside a retry budget.
+        This is how a caller of a ``retries=0`` client (a drain/restart
+        script, a test) resumes after a drop; with a budget the client
+        does the same automatically.
         """
-        self.abort()
         return self.connect(resume=True)
+
+    # -- the retry engine ----------------------------------------------------
+
+    def _backoff(self, attempt: int, exc: Optional[Exception]) -> None:
+        """Sleep the jittered exponential delay (floored by retry_after)."""
+        delay = min(self.backoff_max, self.backoff_base * (2 ** attempt))
+        delay *= 0.5 + self._rng.random() / 2  # jitter in [0.5, 1.0)
+        advised = getattr(exc, "retry_after", 0.0) or 0.0
+        if advised > delay:
+            delay = advised
+        self.backoff_seconds += delay
+        time.sleep(delay)
+
+    def _retry(self, op: Callable[[], T]) -> T:
+        """The one reconnect-and-retry loop: run ``op`` until it succeeds.
+
+        A retryable failure — of ``op`` or of a reconnect — is healed by
+        a backoff and a reconnect with resume, then ``op`` runs again.
+        A failure that is not retryable raises at once (config errors
+        stay loud).  The budget counts *non-progressing* reconnects: a
+        successful reconnect, or a failed one that still shrank the
+        unacked buffer (e.g. an evict-per-chunk server acking one
+        retransmit per connection), resets it — only a wire that moves
+        nothing at all exhausts it, raising the last failure.  A failure
+        that escapes leaves the client disconnected.
+        """
+        attempt = 0
+        exc: Optional[Exception] = None
+        while True:
+            before = len(self.unacked)
+            try:
+                if exc is not None:
+                    self._backoff(attempt, exc)
+                    self.retry_count += 1
+                    self.abort()
+                    self._hello()
+                    if self.recorder is not None:
+                        self.recorder.instant(
+                            "reconnect",
+                            args={"attempt": attempt + 1,
+                                  "cause": type(exc).__name__},
+                        )
+                    attempt, exc = 0, None
+                return op()
+            except Exception as failure:  # noqa: BLE001 - filtered below
+                if exc is not None and len(self.unacked) >= before:
+                    attempt += 1
+                else:
+                    attempt = 0
+                if not _is_retryable(failure) or attempt >= self.retries:
+                    self.abort()
+                    raise
+                exc = failure
 
     # -- wire plumbing -------------------------------------------------------
 
-    def _send(self, msg) -> None:
+    def _live(self) -> None:
+        """A dropped connection is a (retryable) protocol failure."""
         if self._sock is None:
-            raise ProtocolError("client is not connected")
+            raise ProtocolError(
+                f"client is not connected, {len(self.unacked)} chunk(s) "
+                f"unacked (reconnect with resume)"
+            )
+
+    def _send(self, msg) -> None:
+        self._live()
         self._sock.sendall(encode_message(msg))
 
     def _pump(self) -> None:
@@ -259,6 +426,8 @@ class TelemetryClient:
                     self.credits += msg.credits
                     self.unacked = [c for c in self.unacked if c.seq > msg.ack]
                 elif isinstance(msg, ErrorMessage):
+                    # an answer: a refused HELLO opened no session
+                    self._hello_unanswered = False
                     raise msg.to_exception()
                 else:
                     self._inbox.append(msg)
@@ -269,8 +438,6 @@ class TelemetryClient:
                 if isinstance(msg, kind):
                     return self._inbox.pop(i)
             self._pump()
-
-    # -- session operations --------------------------------------------------
 
     def _send_chunk(self, chunk: EventsChunk) -> None:
         """Stamp, trace, send, and track one EVENTS chunk (one credit)."""
@@ -291,49 +458,60 @@ class TelemetryClient:
         self.credits -= 1
         self.unacked.append(chunk)
 
+    def _await_credits(self) -> None:
+        """Pump until every sent chunk has been CREDIT-acknowledged."""
+        self._live()
+        while self.unacked:
+            self._pump()
+
+    # -- session operations --------------------------------------------------
+
     def send_events(self, events: Sequence[Event]) -> None:
-        """Stream events as sequenced chunks, honoring the credit window."""
-        for chunk in chunk_events(list(events), self.chunk_size, self.next_seq):
-            stall_start: Optional[int] = None
-            while self.credits <= 0:
-                if stall_start is None and self.recorder is not None:
-                    stall_start = self.recorder.begin()
-                self.credit_waits += 1
-                self._pump()
-            if stall_start is not None:
-                self.recorder.span(
-                    "credit-stall", stall_start, args={"before_seq": chunk.seq}
-                )
-            self._send_chunk(chunk)
-            self.next_seq = chunk.seq + 1
-            self.events_sent += chunk.count
+        """Stream events as sequenced chunks, honoring the credit window.
+
+        Any wire death resumes from the lost chunk.  Chunk boundaries
+        are deterministic (fixed ``chunk_size``) and ``events_sent``
+        advances only per fully sent chunk, so slicing the input at
+        ``events_sent - base`` restarts exactly at the first chunk the
+        server might not have — whose sequence number then dedupes it if
+        the server *did* get it.
+        """
+        events = list(events)
+        base = self.events_sent
+
+        def stream() -> None:
+            self._live()
+            for chunk in chunk_events(
+                events[self.events_sent - base:], self.chunk_size, self.next_seq
+            ):
+                stall_start: Optional[int] = None
+                while self.credits <= 0:
+                    if stall_start is None and self.recorder is not None:
+                        stall_start = self.recorder.begin()
+                    self.credit_waits += 1
+                    self._pump()
+                if stall_start is not None:
+                    self.recorder.span(
+                        "credit-stall", stall_start,
+                        args={"before_seq": chunk.seq},
+                    )
+                self._send_chunk(chunk)
+                self.next_seq = chunk.seq + 1
+                self.events_sent += chunk.count
+
+        self._retry(stream)
 
     def send_sites(self, sites: Dict[int, str]) -> None:
-        """Ship (part of) the site-id -> source-location name table."""
+        """Ship (part of) the site-id -> source-location name table;
+        retried like events (SITES is idempotent)."""
         if sites:
-            self._send(Sites(sites=dict(sites)))
+            self._retry(lambda: self._send(Sites(sites=dict(sites))))
 
     def drain(self) -> None:
-        """Block until every sent chunk has been CREDIT-acknowledged.
-
-        Exception-safe: if the transport dies mid-drain the connection
-        is aborted (socket released, state consistent for a resume)
-        *before* the error propagates, and calling again on a dead
-        client with nothing pending is a no-op rather than an error.
-        """
-        if not self.unacked:
-            return
-        if self._sock is None:
-            raise ProtocolError(
-                f"cannot drain {len(self.unacked)} unacked chunk(s): "
-                f"client is not connected (reconnect with resume)"
-            )
-        try:
-            while self.unacked:
-                self._pump()
-        except (OSError, ProtocolError):
-            self.abort()
-            raise
+        """Block until every sent chunk has been CREDIT-acknowledged,
+        reconnecting as needed; a no-op with nothing pending."""
+        if self.unacked:
+            self._retry(self._await_credits)
 
     def query(self, trace: bool = False) -> Dict:
         """The server's live status document (merged report + roster).
@@ -341,8 +519,12 @@ class TelemetryClient:
         ``trace=True`` asks for the merged service trace too
         (``doc["trace"]``, absent if it outgrew the frame ceiling).
         """
-        self._send(Query(trace=trace))
-        return self._wait_for(Report).doc
+
+        def ask() -> Dict:
+            self._send(Query(trace=trace))
+            return self._wait_for(Report).doc
+
+        return self._retry(ask)
 
     def ship_spans(self) -> int:
         """Send the recorder's spans in a SPANS frame; returns the count.
@@ -363,44 +545,43 @@ class TelemetryClient:
         )
         return len(events)
 
+    def _close_once(self) -> None:
+        self._await_credits()
+        self.ship_spans()
+        self._send(Close(seq=self.next_seq - 1))
+        self.last_summary = self._wait_for(CloseAck).summary
+        self.abort()
+
     def close(self) -> Dict:
         """Drain, send CLOSE, await the summary, drop the connection.
 
-        Idempotent and exception-safe: closing an already-closed client
-        returns the cached summary, and a peer that crashes mid-close
-        no longer raises out of the ``with`` block — the connection is
-        aborted, the best-known summary is returned, and the swallowed
-        error is kept in :attr:`close_error` so retry layers (and
-        tests) can see what happened.  The session itself stays
-        resumable server-side; nothing acknowledged is lost.
+        Idempotent and exception-safe: the close handshake heals through
+        failures like any operation, and once the retry budget is spent
+        the best-known summary (possibly ``{}``) is returned rather than
+        raised, with the swallowed error kept in :attr:`close_error`.
+        Nothing acknowledged is lost either way: the session stays
+        resumable server-side.
         """
-        if self._sock is None:
+        if self._closed:
             return self.last_summary or {}
         self.close_error = None
         try:
-            self.drain()
-            self.ship_spans()
-            self._send(Close(seq=self.next_seq - 1))
-            ack = self._wait_for(CloseAck)
+            self._retry(self._close_once)
         except (OSError, ProtocolError) as exc:
             self.close_error = exc
-            self.abort()
-            return self.last_summary or {}
-        self.last_summary = ack.summary
-        self.abort()
-        return ack.summary
+        self._closed = True
+        return self.last_summary or {}
 
-    def __enter__(self) -> "TelemetryClient":
+    def __enter__(self) -> "ResilientClient":
         if not self.connected:
             self.connect()
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.connected:
-            if exc[0] is None:
-                self.close()
-            else:
-                self.abort()
+        if exc[0] is None:
+            self.close()
+        else:
+            self.abort()
 
 
 def query_server(address: str, timeout: float = 10.0, trace: bool = False) -> Dict:
@@ -410,11 +591,10 @@ def query_server(address: str, timeout: float = 10.0, trace: bool = False) -> Di
     ``repro report --follow`` can poll without owning a session.
     ``trace=True`` also requests the merged service trace document.
     """
-    client = TelemetryClient(address, session="-query-", timeout=timeout)
-    client._open()
+    client = ResilientClient(address, "-query-", timeout=timeout, retries=0)
+    client._dial()
     try:
-        client._send(Query(trace=trace))
-        return client._wait_for(Report).doc
+        return client.query(trace=trace)
     finally:
         client.abort()
 
@@ -508,9 +688,6 @@ class TelemetryMonitor:
     ) -> None:
         # imported here: repro.live imports are heavier than this module
         from ..live import RaceMonitor
-
-        # circular-import dance: resilient builds on this module
-        from .resilient import ResilientClient
 
         # monitoring streams through the self-healing client: a dropped
         # connection mid-run resumes instead of raising into the

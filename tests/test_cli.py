@@ -96,6 +96,36 @@ class TestDetect:
         assert "race reports" in capsys.readouterr().out
 
 
+#: each count flag below 1, where the command reads it
+COUNT_FLAGS = [
+    (["serve", "--credits", "0"], "--credits"),
+    (["serve", "--shards", "0"], "--shards"),
+    (["serve", "--max-sessions", "0"], "--max-sessions"),
+    (["analyze", "{trace}", "--batch", "--batch-size", "0"], "--batch-size"),
+    (["stream", "{trace}", "--address", "tcp://127.0.0.1:1", "--session", "s",
+      "--chunk-size", "0"], "--chunk-size"),
+    (["analyze", "{trace}", "--sample-every", "-5"], "--sample-every"),
+    (["analyze", "{trace}", "--json", "--sample-every", "0"], "--sample-every"),
+    (["explain", "{trace}", "--sample-every", "0"], "--sample-every"),
+    (["detect", "micro", "--sample-every", "0"], "--sample-every"),
+    (["profile", "micro", "--sample-every", "0"], "--sample-every"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", COUNT_FLAGS,
+    ids=[f"{argv[0]} {flag} {argv[-1]}" for argv, flag in COUNT_FLAGS],
+)
+def test_count_flag_below_one_is_a_usage_error(argv, flag, tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    dump_trace([fork(0, 1), wr(0, 1, 1), wr(1, 1, 2)], path)
+    assert main([arg.format(trace=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{flag} must be at least 1")
+    assert captured.err.count("\n") == 1
+
+
 class TestConvert:
     def test_text_to_binary_and_back(self, tmp_path, capsys):
         text = tmp_path / "t.txt"

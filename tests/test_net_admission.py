@@ -28,7 +28,6 @@ from repro.cli import DETECTORS
 from repro.net import (
     ResilientClient,
     ServerConfig,
-    TelemetryClient,
     TelemetryServer,
 )
 from repro.net.protocol import (
@@ -175,8 +174,8 @@ def test_resume_fencing_takeover_storm(kind):
         address=make_address(kind), n_shards=1, shard_mode="inline",
     )
     with TelemetryServer(config) as server:
-        client = TelemetryClient(
-            server.address, "storm", backend="object", chunk_size=37
+        client = ResilientClient(
+            server.address, "storm", backend="object", chunk_size=37, retries=0
         )
         client.connect()
         half = len(EVENTS) // 2

@@ -4,10 +4,12 @@ Both net subcommands run in-process against an inline
 :class:`~repro.net.TelemetryServer`: ``stream`` in both output modes,
 including a session whose close never completes, and ``report``'s
 output modes and artifact flags, checked against the server's own
-status document.
+status document.  A server that cannot be reached or refuses the
+session ends ``stream``, ``report`` and ``top`` with one stderr line.
 """
 
 import json
+import socket
 
 import pytest
 
@@ -111,3 +113,45 @@ def test_report_json_and_prom(server, trace_file, capsys):
     assert doc["report"] == server.query_doc()["report"]
     assert main(["report", "--address", server.address, "--prom"]) == 0
     assert f"net_events_total {len(TRACE)}" in capsys.readouterr().out
+
+
+def closed_address():
+    """A tcp:// address nothing listens on."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()
+    return f"tcp://127.0.0.1:{port}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stream", "{trace}", "--session", "s", "--retries", "1",
+     "--backoff", "0.001"],
+    ["report"],
+    ["top", "--once"],
+], ids=["stream", "report", "top"])
+def test_unreachable_server_is_one_line_and_exit_1(argv, trace_file, capsys):
+    address = closed_address()
+    argv = [arg.format(trace=trace_file) for arg in argv]
+    assert main([*argv, "--address", address]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"telemetry server {address}: ")
+    assert "ConnectionRefusedError" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_stream_refused_session_name_is_one_line(server, trace_file, capsys):
+    assert stream(server, trace_file, "taken") == 0
+    before = server.session_doc("taken")
+    capsys.readouterr()
+    assert stream(server, trace_file, "taken") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"telemetry server {server.address}: HandshakeError: session "
+        f"'taken' already exists (reconnect with resume)\n"
+    )
+    after = server.session_doc("taken")
+    assert after["events"] == before["events"] == len(TRACE)
+    assert after["report"] == before["report"]

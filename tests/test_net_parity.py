@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import DETECTORS
 from repro.core.backend import BACKENDS as AVAILABLE_BACKENDS
-from repro.net import ServerConfig, TelemetryClient, TelemetryServer
+from repro.net import ResilientClient, ServerConfig, TelemetryServer
 from repro.obs import RunObserver, SyncIndex
 from repro.obs.provenance import DEFAULT_WINDOW, FlightRecorder
 from repro.obs.reports import build_report, validate_report
@@ -64,12 +64,12 @@ def streamed_report(detector_name: str, backend: str, events=EVENTS, **kwargs):
     chunk_size = kwargs.pop("chunk_size", 37)  # odd: never batch-aligned
     config = ServerConfig(n_shards=2, **kwargs)
     with TelemetryServer(config) as server:
-        client = TelemetryClient(
+        client = ResilientClient(
             server.address,
             "parity",
             detector=detector_name,
             backend=backend,
-            chunk_size=chunk_size,
+            chunk_size=chunk_size, retries=0,
         )
         client.connect()
         client.send_events(events)
@@ -120,9 +120,9 @@ def test_parity_survives_disconnect_and_resume(backend):
     """A mid-stream disconnect plus resume retransmit changes nothing."""
     off_doc, off_counters, _ = offline_report("fasttrack", backend)
     with TelemetryServer(ServerConfig(n_shards=2, shard_mode="process")) as server:
-        client = TelemetryClient(
+        client = ResilientClient(
             server.address, "parity", detector="fasttrack",
-            backend=backend, chunk_size=37,
+            backend=backend, chunk_size=37, retries=0,
         )
         client.connect()
         half = len(EVENTS) // 2
@@ -149,9 +149,9 @@ def test_parity_survives_worker_crash(backend):
             crash_plan={0: 3, 1: 3},  # whichever shard owns the session
         )
     ) as server:
-        client = TelemetryClient(
+        client = ResilientClient(
             server.address, "parity", detector="fasttrack",
-            backend=backend, chunk_size=37,
+            backend=backend, chunk_size=37, retries=0,
         )
         client.connect()
         client.send_events(EVENTS)
@@ -168,9 +168,9 @@ def test_multi_session_merge_is_deterministic():
     for _ in range(2):
         with TelemetryServer(ServerConfig(n_shards=3, shard_mode="inline")) as server:
             for i, detector_name in enumerate(("fasttrack", "pacer", "eraser")):
-                client = TelemetryClient(
+                client = ResilientClient(
                     server.address, f"s{i}", detector=detector_name,
-                    chunk_size=53,
+                    chunk_size=53, retries=0,
                 )
                 client.connect()
                 client.send_events(EVENTS)

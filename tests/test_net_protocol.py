@@ -65,7 +65,7 @@ from repro.net.protocol import (
     encode_message,
     error_for_code,
 )
-from repro.net.client import TelemetryClient
+from repro.net.client import ResilientClient
 from repro.net.server import ServerConfig, TelemetryServer
 from repro.trace.events import (
     ACQUIRE,
@@ -658,7 +658,9 @@ def test_server_names_shard_rejected_chunks(shard_mode, tmp_path):
         conn.close()
         # the same shard goes on serving other sessions
         events = [Event(WRITE, 0, 7, 1), Event(WRITE, 1, 7, 2)] * 5
-        client = TelemetryClient(srv.address, "conf-after-broken", chunk_size=3)
+        client = ResilientClient(
+            srv.address, "conf-after-broken", chunk_size=3, retries=0
+        )
         client.connect()
         client.send_events(events)
         summary = client.close()

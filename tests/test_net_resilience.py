@@ -40,12 +40,12 @@ from repro.net import (
     ChaosProxy,
     ResilientClient,
     ServerConfig,
-    TelemetryClient,
     TelemetryServer,
 )
 from repro.net.chaos import wire_plan
 from repro.net.protocol import (
     FrameDecoder,
+    HandshakeError,
     Hello,
     HelloAck,
     ProtocolError,
@@ -212,8 +212,8 @@ def test_transparent_proxy_is_invisible():
     off_doc, _ = offline_report("fasttrack", "object")
     with TelemetryServer(ServerConfig(n_shards=1, shard_mode="inline")) as server:
         with ChaosProxy("tcp://127.0.0.1:0", server.address) as proxy:
-            client = TelemetryClient(
-                proxy.address, "clear", backend="object", chunk_size=37
+            client = ResilientClient(
+                proxy.address, "clear", backend="object", chunk_size=37, retries=0
             )
             client.connect()
             client.send_events(EVENTS)
@@ -259,7 +259,7 @@ def test_close_and_drain_are_exception_safe_on_dead_socket():
     """Satellite regression: a dead socket never raises out of close()."""
     config = ServerConfig(n_shards=1, shard_mode="inline")
     with TelemetryServer(config) as server:
-        client = TelemetryClient(server.address, "deadsock", chunk_size=37)
+        client = ResilientClient(server.address, "deadsock", chunk_size=37, retries=0)
         client.connect()
         client.send_events(EVENTS[:200])
         assert client.unacked  # chunks sent, credits not yet pumped
@@ -271,7 +271,7 @@ def test_close_and_drain_are_exception_safe_on_dead_socket():
         # idempotent: a second close is a quiet no-op
         assert client.close() == {}
         # drain() with unacked chunks and no socket names the remedy
-        client2 = TelemetryClient(server.address, "deadsock2", chunk_size=37)
+        client2 = ResilientClient(server.address, "deadsock2", chunk_size=37, retries=0)
         client2.connect()
         client2.send_events(EVENTS[:200])
         assert client2.unacked
@@ -297,11 +297,66 @@ def test_resilient_close_completes_handshake_after_wire_death():
         )
         rc.connect()
         rc.send_events(EVENTS)
-        rc.client._sock.close()  # wire dies right before CLOSE
+        rc._sock.close()  # wire dies right before CLOSE
         summary = rc.close()
         assert summary["events"] == len(EVENTS)
         assert rc.retry_count >= 1
         assert rc.close() == summary  # idempotent
+
+
+def test_second_client_cannot_take_over_a_session_name():
+    """A first HELLO refused with "already exists" raises: the name is
+    another client's, even when that session is closed."""
+    config = ServerConfig(n_shards=1, shard_mode="inline")
+    with TelemetryServer(config) as server:
+        first = ResilientClient(server.address, "s", chunk_size=50)
+        first.connect()
+        first.send_events(EVENTS[:312])
+        assert first.close()["events"] == 312
+        before = server.session_doc("s")
+        second = ResilientClient(
+            server.address, "s", chunk_size=50,
+            backoff_base=0.001, backoff_max=0.01,
+        )
+        with pytest.raises(HandshakeError, match="already exists"):
+            second.connect()
+        assert second.retry_count == 0
+        assert not second.connected
+        after = server.session_doc("s")
+    assert after["events"] == before["events"] == 312
+    assert canonical(after["report"]) == canonical(before["report"])
+
+
+def test_lost_first_hello_ack_resumes_the_session_it_opened(monkeypatch):
+    """The HELLO opened the session but its ack died on the wire: the
+    retry is refused with "already exists" and resumes instead."""
+    off_doc, off_counters = offline_report("fasttrack", "object")
+    wait_for = ResilientClient._wait_for
+    lost = []
+
+    def lose_first_ack(self, kind):
+        msg = wait_for(self, kind)
+        if isinstance(msg, HelloAck) and not lost:
+            lost.append(msg)
+            raise ConnectionResetError("HELLO_ACK lost on the wire")
+        return msg
+
+    monkeypatch.setattr(ResilientClient, "_wait_for", lose_first_ack)
+    config = ServerConfig(n_shards=1, shard_mode="inline")
+    with TelemetryServer(config) as server:
+        rc = ResilientClient(
+            server.address, "half-open", backend="object", chunk_size=37,
+            backoff_base=0.001, backoff_max=0.01,
+        )
+        rc.connect()
+        rc.send_events(EVENTS)
+        summary = rc.close()
+        sdoc = server.session_doc("half-open")
+    assert len(lost) == 1
+    assert rc.retry_count == 1
+    assert summary["events"] == sdoc["events"] == len(EVENTS)
+    assert canonical(sdoc["report"]) == canonical(off_doc)
+    assert sdoc["counters"] == off_counters
 
 
 def test_monitor_defaults_to_resilient_client():
@@ -328,7 +383,7 @@ def test_spool_quota_evicts_with_named_error_and_retry_after():
         spool_quota_bytes=1, busy_retry_after=0.25,
     )
     with TelemetryServer(config) as server:
-        client = TelemetryClient(server.address, "piggy", chunk_size=37)
+        client = ResilientClient(server.address, "piggy", chunk_size=37, retries=0)
         client.connect()
         with pytest.raises(SessionEvicted) as excinfo:
             # chunk 1 is applied+acked then trips the quota; chunk 2 is
@@ -374,14 +429,14 @@ def test_memory_watermark_throttles_credits_and_sheds_new_sessions():
         busy_retry_after=0.05,
     )
     with TelemetryServer(config) as server:
-        client = TelemetryClient(server.address, "heavy", chunk_size=37)
+        client = ResilientClient(server.address, "heavy", chunk_size=37, retries=0)
         client.connect()
         client.send_events(EVENTS)
         summary = client.close()
         assert summary["events"] == len(EVENTS)  # existing sessions finish
         assert server.metrics.counter("net_throttled_credits").value > 0
         # ...but new sessions are refused with BUSY + retry advice
-        late = TelemetryClient(server.address, "latecomer")
+        late = ResilientClient(server.address, "latecomer", retries=0)
         with pytest.raises(ServerBusy) as excinfo:
             late.connect()
         assert excinfo.value.retry_after == 0.05
@@ -441,9 +496,9 @@ def test_drain_restart_resume_byte_identical(backend):
         )
 
     server = TelemetryServer(config()).start()
-    client = TelemetryClient(
+    client = ResilientClient(
         address, "drainy", detector="fasttrack", backend=backend,
-        chunk_size=37,
+        chunk_size=37, retries=0,
     )
     client.connect()
     half = len(EVENTS) // 2
@@ -501,7 +556,7 @@ def test_healthz_answers_503_while_draining():
     )
     with TelemetryServer(config) as server:
         url = f"http://{server.http_address}"
-        client = TelemetryClient(server.address, "lingerer", chunk_size=37)
+        client = ResilientClient(server.address, "lingerer", chunk_size=37, retries=0)
         client.connect()
         client.send_events(EVENTS[:100])
         result = {}

@@ -25,7 +25,7 @@ import json
 import os
 import threading
 
-from repro.net import ServerConfig, TelemetryClient, TelemetryServer
+from repro.net import ResilientClient, ServerConfig, TelemetryServer
 from repro.net.protocol import DEFAULT_MAX_FRAME
 from repro.trace.generator import GeneratorConfig, random_trace
 
@@ -44,8 +44,8 @@ def workload(seed: int):
 def stream_session(server_address, name, events, *, disconnect, results):
     """One client thread; records its outcome instead of raising."""
     try:
-        client = TelemetryClient(
-            server_address, name, chunk_size=CHUNK_SIZE, timeout=60.0
+        client = ResilientClient(
+            server_address, name, chunk_size=CHUNK_SIZE, timeout=60.0, retries=0
         )
         client.connect()
         if disconnect:
@@ -169,8 +169,8 @@ def test_backpressure_blocks_fast_writer():
             chunk_delay=0.02,  # 20ms per chunk in the worker
         )
     ) as server:
-        client = TelemetryClient(
-            server.address, "slow", chunk_size=11, timeout=60.0
+        client = ResilientClient(
+            server.address, "slow", chunk_size=11, timeout=60.0, retries=0
         )
         client.connect()
         client.send_events(events)
@@ -193,7 +193,7 @@ def test_shutdown_finalizes_attached_sessions():
     events = workload(seed=7)
     server = TelemetryServer(ServerConfig(n_shards=2, shard_mode="process"))
     server.start()
-    client = TelemetryClient(server.address, "abandoned", chunk_size=17)
+    client = ResilientClient(server.address, "abandoned", chunk_size=17, retries=0)
     client.connect()
     client.send_events(events)
     client.drain()  # everything acked, nothing closed

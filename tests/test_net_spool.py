@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from repro.cli import DETECTORS
-from repro.net import ServerConfig, TelemetryClient, TelemetryServer
+from repro.net import ResilientClient, ServerConfig, TelemetryServer
 from repro.obs import RunObserver, SyncIndex
 from repro.obs.provenance import DEFAULT_WINDOW, FlightRecorder
 from repro.obs.reports import build_report
@@ -58,18 +58,18 @@ def offline(detector_name: str = "fasttrack"):
 
 def test_spool_holds_exactly_the_sent_payloads(tmp_path, monkeypatch):
     sent = []
-    send_chunk = TelemetryClient._send_chunk
+    send_chunk = ResilientClient._send_chunk
 
     def recording(self, chunk):
         sent.append(chunk.data)
         send_chunk(self, chunk)
 
-    monkeypatch.setattr(TelemetryClient, "_send_chunk", recording)
+    monkeypatch.setattr(ResilientClient, "_send_chunk", recording)
     config = ServerConfig(
         n_shards=1, shard_mode="inline", spool_dir=str(tmp_path)
     )
     with TelemetryServer(config) as server:
-        client = TelemetryClient(server.address, "spooled", chunk_size=CHUNK)
+        client = ResilientClient(server.address, "spooled", chunk_size=CHUNK, retries=0)
         client.connect()
         client.send_events(EVENTS)
         assert client.close()["events"] == len(EVENTS)
@@ -89,8 +89,9 @@ def test_reencoded_spool_replays_through_crash_recovery(tmp_path):
     )
     head = (crash_at - 1) * CHUNK
     with TelemetryServer(config) as server:
-        client = TelemetryClient(
-            server.address, "reencoded", detector="fasttrack", chunk_size=CHUNK
+        client = ResilientClient(
+            server.address, "reencoded", detector="fasttrack", chunk_size=CHUNK,
+            retries=0,
         )
         client.connect()
         client.send_events(EVENTS[:head])

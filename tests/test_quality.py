@@ -207,7 +207,7 @@ class TestStreamedVsOffline:
     def test_telemetry_equals_offline_modulo_source(self):
         """A streamed session's coverage equals offline analysis of the
         same trace — ``source`` is the only differing field."""
-        from repro.net import ServerConfig, TelemetryClient, TelemetryServer
+        from repro.net import ResilientClient, ServerConfig, TelemetryServer
 
         events = [
             fork(0, 1), fork(0, 2),
@@ -229,8 +229,8 @@ class TestStreamedVsOffline:
         with TelemetryServer(
             ServerConfig(shard_mode="inline", n_shards=2)
         ) as server:
-            client = TelemetryClient(
-                server.address, "parity", detector="pacer", chunk_size=3
+            client = ResilientClient(
+                server.address, "parity", detector="pacer", chunk_size=3, retries=0
             )
             client.connect()
             client.send_events(events)

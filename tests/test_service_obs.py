@@ -25,8 +25,8 @@ import urllib.request
 import pytest
 
 from repro.net import (
+    ResilientClient,
     ServerConfig,
-    TelemetryClient,
     TelemetryServer,
     build_top_status,
     query_server,
@@ -58,7 +58,9 @@ def serve(**kwargs):
 
 
 def stream(server, session="s1", events=EVENTS, **kwargs):
-    client = TelemetryClient(server.address, session, chunk_size=64, **kwargs)
+    client = ResilientClient(
+        server.address, session, chunk_size=64, retries=0, **kwargs
+    )
     client.connect()
     client.send_events(list(events))
     return client.close()
@@ -315,7 +317,7 @@ class TestServiceTrace:
     def test_span_batches_dedup_on_reship(self):
         server = serve()
         try:
-            client = TelemetryClient(server.address, "s1", chunk_size=64)
+            client = ResilientClient(server.address, "s1", chunk_size=64, retries=0)
             client.connect()
             client.send_events(EVENTS)
             client.ship_spans()
