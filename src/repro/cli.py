@@ -104,7 +104,6 @@ from .detectors import Detector
 from .sim.runtime import Runtime, RuntimeConfig
 from .sim.scheduler import run_program
 from .sim.workloads import WORKLOADS, build_program, describe_site
-from .trace.batch import DEFAULT_BATCH_SIZE
 from .trace.binio import (
     MAGIC,
     describe_binary,
@@ -142,6 +141,19 @@ def _count(args, dest: str) -> int:
     if value < 1:
         flag = "--" + dest.replace("_", "-")
         raise _UsageError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
+def _address(args, dest: str) -> str:
+    """The value of an address flag; one that is not ``tcp://host:port``
+    or ``unix://path`` is a usage error."""
+    from .net.client import parse_address
+
+    value = getattr(args, dest)
+    try:
+        parse_address(value)
+    except ValueError as exc:
+        raise _UsageError(f"--{dest}: {exc}") from None
     return value
 
 
@@ -313,14 +325,16 @@ def _write_artifacts(args, quiet: bool = False, **writers: Callable) -> None:
                 print(f"wrote {_ARTIFACTS[dest]} to {path}")
 
 
-def _make_observer(args) -> Optional[RunObserver]:
-    """An observer when ``--json`` or any artifact was requested, else
-    None (the disabled path: detectors see a single untaken branch).  A
-    race report sink additionally attaches a flight recorder, which opts
-    the run into per-event context capture."""
+def _make_observer(args, always: bool = False) -> Optional[RunObserver]:
+    """An observer when ``always`` (``profile``), ``--json`` or any
+    artifact was requested, else None (the disabled path: detectors see
+    a single untaken branch).  A race report sink additionally attaches
+    a flight recorder, which opts the run into per-event context
+    capture."""
     sample_every = _count(args, "sample_every")
     if not (
-        getattr(args, "json", False)
+        always
+        or getattr(args, "json", False)
         or args.metrics_out or args.timeline_out or args.trace_out
         or args.report_out or args.coverage_out
     ):
@@ -452,7 +466,7 @@ def cmd_analyze(args) -> int:
     if obs is not None:
         obs.attach(detector)
     if args.batch:
-        detector.run_batch(trace, batch_size=_count(args, "batch_size"))
+        detector.run_batch(trace)
     else:
         detector.run(trace)
     if obs is not None:
@@ -516,7 +530,7 @@ def cmd_detect(args) -> int:
 def cmd_profile(args) -> int:
     """Run a workload live with full observability and write all sinks."""
     detector = DETECTORS[args.detector](backend=args.state_backend)
-    obs = RunObserver(sample_every=_count(args, "sample_every"))
+    obs = _make_observer(args, always=True)
     runtime, rate = _live_run(
         args, args.workload, detector, obs, default_rate=10.0,
         track_memory=True,
@@ -961,7 +975,7 @@ def cmd_serve(args) -> int:
     from .net import ServerConfig, TelemetryServer
 
     config = ServerConfig(
-        address=args.address,
+        address=_address(args, "address"),
         n_shards=_count(args, "shards"),
         shard_mode=args.shard_mode,
         credits=_count(args, "credits"),
@@ -1046,9 +1060,10 @@ def cmd_stream(args) -> int:
     """
     from .net import ProtocolError, ResilientClient
 
+    address = _address(args, "address")
     trace = _load(Path(args.trace), args.format)
     client = ResilientClient(
-        args.address,
+        address,
         args.session,
         detector=args.detector,
         backend=args.state_backend,
@@ -1060,14 +1075,14 @@ def cmd_stream(args) -> int:
         client.connect()
         client.send_events(list(trace.events))
     except (OSError, ProtocolError) as exc:
-        return _server_failed(args.address, exc)
+        return _server_failed(address, exc)
     summary = client.close()
     if args.json:
         _write_json(
             {
                 "command": "stream",
                 "trace": args.trace,
-                "address": args.address,
+                "address": address,
                 "credit_waits": client.credit_waits,
                 "retries": client.retry_count,
                 **summary,
@@ -1109,8 +1124,8 @@ def cmd_chaos_proxy(args) -> int:
     from .net.chaos import ChaosProxy, wire_plan
 
     proxy = ChaosProxy(
-        args.listen,
-        args.upstream,
+        _address(args, "listen"),
+        _address(args, "upstream"),
         plan=_read_fault_plan(args, wire_plan),
         seed=args.seed,
         stall_seconds=args.stall_seconds,
@@ -1156,11 +1171,12 @@ def cmd_net_report(args) -> int:
 
     from .net import ProtocolError, query_server
 
+    address = _address(args, "address")
     while True:
         try:
-            doc = query_server(args.address, trace=bool(args.trace_out))
+            doc = query_server(address, trace=bool(args.trace_out))
         except (OSError, ProtocolError) as exc:
-            return _server_failed(args.address, exc)
+            return _server_failed(address, exc)
 
         def write_metrics(path: Path) -> None:
             # round-trip through a registry for the canonical byte format
@@ -1193,7 +1209,7 @@ def cmd_net_report(args) -> int:
         else:
             report = doc["report"]
             print(
-                f"{args.address}: {len(doc['sessions'])} session(s), "
+                f"{address}: {len(doc['sessions'])} session(s), "
                 f"{report['events']} events, {report['dynamic_races']} "
                 f"race(s), {report['distinct_races']} distinct"
             )
@@ -1214,14 +1230,15 @@ def cmd_top(args) -> int:
 
     from .net import ProtocolError, build_top_status, query_server, render_top
 
+    address = _address(args, "address")
     prev = None
     try:
         while True:
             started = time.monotonic()
             try:
-                doc = query_server(args.address)
+                doc = query_server(address)
             except (OSError, ProtocolError) as exc:
-                return _server_failed(args.address, exc)
+                return _server_failed(address, exc)
             status = build_top_status(
                 doc, prev=prev,
                 interval=args.interval if prev is not None else None,
@@ -1397,12 +1414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action="store_true",
         help="use the columnar batched fast path (identical results)",
-    )
-    p.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        help="events per batch with --batch",
     )
     _add_flags(
         p, "json", "state_backend", "metrics_out", "timeline_out",

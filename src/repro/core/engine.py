@@ -6,9 +6,11 @@ one packed transcription here.  The packed kernels drive both dispatch
 paths — the scalar handlers call them with a singleton event, the batch
 path with whole columns:
 
-* FASTTRACK (Algorithms 7/8): :func:`fasttrack_kernel`;
-* PACER (Algorithms 12/13): :func:`pacer_access_packed`, which the
-  run-bulking loop :func:`pacer_kernel` calls for every access it cannot
+* FASTTRACK (Algorithms 7/8): :func:`fasttrack_kernel`, which also runs
+  every access PACER samples — while sampling PACER *is* FASTTRACK;
+* PACER outside sampling periods (Algorithms 12/13):
+  :func:`pacer_access_packed`, which the run-bulking loop
+  :func:`pacer_kernel` calls for every non-sampling access it cannot
   retire in bulk.
 
 Both kernels hand synchronization and period events to the detector's
@@ -29,7 +31,7 @@ from itertools import compress as _compress
 from ..detectors.base import Race, READ_WRITE, WRITE_READ, WRITE_WRITE
 from ..trace.batch import ACCESS01_TABLE, RUN_MASK_TABLE
 from .backend import READ_SHARED
-from .clocks import TID_BITS, TID_MASK, VectorClock
+from .clocks import TID_BITS, TID_MASK
 
 __all__ = [
     "fasttrack_kernel",
@@ -42,10 +44,15 @@ def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
     """Algorithms 7/8 over packed arrays (FASTTRACK, both dispatch paths).
 
     ``seen0`` is the event index before the first event in ``kinds``;
-    the scalar wrappers pass ``_events_seen - 1`` (``apply`` has already
-    counted the event), the batch wrapper passes ``_events_seen``.
+    the scalar handlers pass ``_events_seen - 1`` (``step`` has already
+    counted the event), ``FastTrackDetector.apply_batch`` passes
+    ``_events_seen``, and :func:`pacer_kernel` the position of each
+    sampling run it hands over.
 
-    Access events never mutate vector clocks, so per-thread clock lookups
+    The detector supplies each thread's clock through ``det._clock_of``
+    (which also creates and accounts for a thread's first clock), so
+    FASTTRACK and a sampling PACER run this one transcription.  Access
+    events never mutate vector clocks, so per-thread clock lookups
     (including the packed ``own`` epoch) are cached across each run of
     accesses and invalidated at every synchronization or period event —
     this is where the packed kernel's throughput comes from.
@@ -57,7 +64,7 @@ def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
     wep, wsite, windex = arena.wep, arena.wsite, arena.windex
     rep, rsite, rindex = arena.rep, arena.rsite, arena.rindex
     rshared = arena.rshared
-    thread_clock = det._thread_clock
+    clock_of = det._clock_of
     threads_add = det._threads.add
     races_append = det.races.append
     seen = seen0
@@ -75,13 +82,7 @@ def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
                 last_tid = tid
             entry = cache_get(tid)
             if entry is None:
-                clock = thread_clock.get(tid)
-                if clock is None:
-                    clock = VectorClock()
-                    clock.increment(tid)
-                    thread_clock[tid] = clock
-                    words += 2
-                c = clock._c
+                c = clock_of(tid)._c
                 own = c[tid] if tid < len(c) else 0
                 entry = (c, own, (own << TID_BITS) | tid)
                 cache[tid] = entry
@@ -177,40 +178,31 @@ def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
 
 
 def pacer_access_packed(det, k, tid, var, site, index):
-    """One PACER access (Algorithm 12 if ``k == 0``, else 13) over packed
-    arrays — the single transcription behind the packed scalar handlers
-    and every non-bulk event of :func:`pacer_kernel`.
+    """One non-sampling PACER access (Algorithm 12 if ``k == 0``, else 13)
+    over packed arrays — the transcription behind the packed scalar
+    handlers outside sampling periods and every tracked access of a live
+    run in :func:`pacer_kernel`.
 
-    Branches on ``det.sampling`` internally: the sampling body is exactly
-    FASTTRACK (Algorithms 7/8), the non-sampling body runs the race
-    checks against frozen clocks and applies the Table 4 discard rules,
-    releasing the variable's arena slot once its metadata is fully null.
+    A variable with no metadata takes the inlined fast path.  Otherwise
+    the race checks run against the frozen clocks and the Table 4
+    discard rules apply, releasing the variable's arena slot once its
+    metadata is fully null.  Sampled accesses never come here: they are
+    FASTTRACK's and run :func:`fasttrack_kernel`.
     """
     arena = det._arena
     slot = arena.index.get(var)
     counters = det.counters
-    sampling = det.sampling
-    if k == 0:
-        if not sampling:
-            if slot is None:
-                counters.reads_fast_nonsampling += 1  # inlined fast path
-                return
-            counters.reads_slow_nonsampling += 1
+    if slot is None:  # inlined fast path
+        if k:
+            counters.writes_fast_nonsampling += 1
         else:
-            counters.reads_slow_sampling += 1
+            counters.reads_fast_nonsampling += 1
+        return
+    if k:
+        counters.writes_slow_nonsampling += 1
     else:
-        if not sampling:
-            if slot is None:
-                counters.writes_fast_nonsampling += 1  # inlined fast path
-                return
-            counters.writes_slow_nonsampling += 1
-        else:
-            counters.writes_slow_sampling += 1
-    if slot is None:
-        slot = arena.alloc(var)
-        counters.words_allocated += 2
-    tmeta = det._thread_meta(tid)
-    c = tmeta.clock._c
+        counters.reads_slow_nonsampling += 1
+    c = det._thread_meta(tid).clock._c
     own = c[tid] if tid < len(c) else 0
     packed_own = (own << TID_BITS) | tid
     wep, rep = arena.wep, arena.rep
@@ -218,113 +210,70 @@ def pacer_access_packed(det, k, tid, var, site, index):
     races_append = det.races.append
     w = wep[slot]
     r = rep[slot]
+    if w:
+        wt = w & TID_MASK
+        wc = w >> TID_BITS
+        if wc > (c[wt] if wt < len(c) else 0):
+            races_append(
+                Race(var, WRITE_WRITE if k else WRITE_READ, wt, wc,
+                     arena.wsite[slot], tid, site, index, arena.windex[slot])
+            )
     if k == 0:  # rd (Algorithm 12)
-        if sampling and r == packed_own:
-            return  # same read epoch: no action (exactly FASTTRACK)
-        if w:
-            wt = w & TID_MASK
-            wc = w >> TID_BITS
-            if wc > (c[wt] if wt < len(c) else 0):
-                races_append(
-                    Race(var, WRITE_READ, wt, wc, arena.wsite[slot],
-                         tid, site, index, arena.windex[slot])
-                )
-        if sampling:
-            if r == 0:
-                rep[slot] = packed_own
-                arena.rsite[slot] = site
-                arena.rindex[slot] = index
-                counters.words_allocated += 2
-            elif r != READ_SHARED:
-                rt = r & TID_MASK
-                if (r >> TID_BITS) <= (c[rt] if rt < len(c) else 0):
-                    rep[slot] = packed_own  # overwrite read epoch
-                    arena.rsite[slot] = site
-                    arena.rindex[slot] = index
-                else:
-                    rshared[slot] = {
-                        rt: (r >> TID_BITS, arena.rsite[slot],
-                             arena.rindex[slot]),
-                        tid: (own, site, index),
-                    }
-                    rep[slot] = READ_SHARED
-                    counters.words_allocated += 2
-            else:
-                rshared[slot][tid] = (own, site, index)
-                counters.words_allocated += 2
-        else:
-            if r:
-                if r != READ_SHARED:
-                    # Table 4 Rule 2: discard a read epoch FASTTRACK would
-                    # have overwritten; same-epoch (Rule 1) and concurrent
-                    # (Rule 4) reads are kept.
-                    rt = r & TID_MASK
-                    if r != packed_own and (
-                        (r >> TID_BITS) <= (c[rt] if rt < len(c) else 0)
-                    ):
-                        rep[slot] = 0
-                else:  # Rule 3: drop only t's entry, never deflate
-                    shared = rshared[slot]
-                    shared.pop(tid, None)
-                    if not shared:
-                        rep[slot] = 0
-                        del rshared[slot]
-            if det.discard_metadata and wep[slot] == 0 and rep[slot] == 0:
-                arena.release(var, slot)
-    else:  # wr (Algorithm 13)
-        if sampling and w == packed_own:
-            return  # same write epoch: no action (exactly FASTTRACK)
-        if w:
-            wt = w & TID_MASK
-            wc = w >> TID_BITS
-            if wc > (c[wt] if wt < len(c) else 0):
-                races_append(
-                    Race(var, WRITE_WRITE, wt, wc, arena.wsite[slot],
-                         tid, site, index, arena.windex[slot])
-                )
         if r:
             if r != READ_SHARED:
+                # Table 4 Rule 2: discard a read epoch FASTTRACK would
+                # have overwritten; same-epoch (Rule 1) and concurrent
+                # (Rule 4) reads are kept.
                 rt = r & TID_MASK
-                rc = r >> TID_BITS
-                if rc > (c[rt] if rt < len(c) else 0):
-                    races_append(
-                        Race(var, READ_WRITE, rt, rc, arena.rsite[slot],
-                             tid, site, index, arena.rindex[slot])
-                    )
-            else:
-                for u, (rc, rs, ri) in rshared[slot].items():
-                    if rc > (c[u] if u < len(c) else 0):
-                        races_append(
-                            Race(var, READ_WRITE, u, rc, rs,
-                                 tid, site, index, ri)
-                        )
-        if sampling:
-            wep[slot] = packed_own
-            arena.wsite[slot] = site
-            arena.windex[slot] = index
-            rep[slot] = 0  # modified FASTTRACK: clear read map
-            rshared.pop(slot, None)
-            counters.words_allocated += 2
+                if r != packed_own and (
+                    (r >> TID_BITS) <= (c[rt] if rt < len(c) else 0)
+                ):
+                    rep[slot] = 0
+            else:  # Rule 3: drop only t's entry, never deflate
+                shared = rshared[slot]
+                shared.pop(tid, None)
+                if not shared:
+                    rep[slot] = 0
+                    del rshared[slot]
+        if det.discard_metadata and w == 0 and rep[slot] == 0:
+            arena.release(var, slot)
+        return
+    # wr (Algorithm 13)
+    if r:
+        if r != READ_SHARED:
+            rt = r & TID_MASK
+            rc = r >> TID_BITS
+            if rc > (c[rt] if rt < len(c) else 0):
+                races_append(
+                    Race(var, READ_WRITE, rt, rc, arena.rsite[slot],
+                         tid, site, index, arena.rindex[slot])
+                )
         else:
-            if w == packed_own:
-                return  # same epoch: keep the sampled metadata
-            wep[slot] = 0  # discard write epoch and read map
-            rep[slot] = 0
-            rshared.pop(slot, None)
-            if det.discard_metadata:
-                arena.release(var, slot)
+            for u, (rc, rs, ri) in rshared[slot].items():
+                if rc > (c[u] if u < len(c) else 0):
+                    races_append(
+                        Race(var, READ_WRITE, u, rc, rs, tid, site, index, ri)
+                    )
+    if w == packed_own:
+        return  # same epoch: keep the sampled metadata
+    wep[slot] = 0  # discard write epoch and read map
+    rep[slot] = 0
+    rshared.pop(slot, None)
+    if det.discard_metadata:
+        arena.release(var, slot)
 
 
 def pacer_kernel(det, kinds, tids, targets, sites, seen0):
     """PACER's run-bulked batch loop over the packed arena.
 
     Maximal access runs are found with byte-mask scans over the kind
-    column; a non-sampling run disjoint from tracked variables is retired
-    in bulk, and every other access, sampling or not, goes through the
-    one transcription in :func:`pacer_access_packed`.  No metadata can
-    appear during a bulk run (nothing allocates outside sampling without
-    an existing entry), so the run-entry probe stays valid for the whole
-    run.
+    column.  A sampling run is FASTTRACK's, and goes to
+    :func:`fasttrack_kernel` whole.  A non-sampling run disjoint from
+    tracked variables is retired in bulk; in any other non-sampling run
+    only the accesses to tracked variables pay a
+    :func:`pacer_access_packed` call.  No metadata can appear outside
+    sampling (nothing allocates without an existing entry), so the
+    run-entry probe stays valid for the whole run.
     """
     n = len(kinds)
     kind_bytes = bytes(kinds)
@@ -348,47 +297,42 @@ def pacer_kernel(det, kinds, tids, targets, sites, seen0):
             j = find_break(2, i)
             if j < 0:
                 j = n
+            if sampling:  # exactly FASTTRACK (Algorithms 7/8)
+                fasttrack_kernel(
+                    det, kinds[i:j], tids[i:j], targets[i:j], sites[i:j],
+                    seen0 + i,
+                )
+                i = j
+                continue
             w = count_kind(1, i, j)
             r = count_kind(0, i, j)
             pure = w + r == j - i  # no riding no-op events in the run
-            if not sampling and (
-                not tracked
-                or tracked_disjoint(
-                    targets[i:j]
-                    if pure
-                    else compress(targets[i:j], access01[i:j])
-                )
+            if not tracked or tracked_disjoint(
+                targets[i:j]
+                if pure
+                else compress(targets[i:j], access01[i:j])
             ):
                 # Algorithm 12/13 fast path, retired in bulk
                 writes_fast += w
                 reads_fast += r
                 i = j
                 continue
-            if sampling:
-                for idx in range(i, j):
-                    k2 = kinds[idx]
-                    if k2 > 1:
-                        continue  # m_enter / m_exit / alloc: no-ops
-                    pacer_access_packed(
-                        det, k2, tids[idx], targets[idx], sites[idx], seen0 + idx
-                    )
-            else:
-                # live run: most targets still miss the arena, so the
-                # Algorithm 12/13 fast path stays inline and only tracked
-                # variables pay the per-event call
-                for idx in range(i, j):
-                    k2 = kinds[idx]
-                    if k2 > 1:
-                        continue
-                    if targets[idx] not in tracked:
-                        if k2:
-                            writes_fast += 1
-                        else:
-                            reads_fast += 1
-                        continue
-                    pacer_access_packed(
-                        det, k2, tids[idx], targets[idx], sites[idx], seen0 + idx
-                    )
+            # live run: most targets still miss the arena, so the
+            # Algorithm 12/13 fast path stays inline and only tracked
+            # variables pay the per-event call
+            for idx in range(i, j):
+                k2 = kinds[idx]
+                if k2 > 1:
+                    continue  # m_enter / m_exit / alloc: no-ops
+                if targets[idx] not in tracked:
+                    if k2:
+                        writes_fast += 1
+                    else:
+                        reads_fast += 1
+                    continue
+                pacer_access_packed(
+                    det, k2, tids[idx], targets[idx], sites[idx], seen0 + idx
+                )
             i = j
             continue
         det._events_seen = seen0 + i + 1

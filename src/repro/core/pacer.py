@@ -1,7 +1,12 @@
 """The PACER detector (paper §3, Algorithms 9-13 and 16, Tables 4-7).
 
 PACER divides execution into global *sampling* and *non-sampling*
-periods.  While sampling it is exactly FASTTRACK.  While not sampling it
+periods.  While sampling it is exactly FASTTRACK, and runs FASTTRACK's
+code: a sampled access goes to
+:func:`~repro.detectors.fasttrack.fasttrack_read`/``fasttrack_write``
+(object backend) or :func:`~repro.core.engine.fasttrack_kernel`
+(packed backend), which read PACER's thread clocks through
+:meth:`PacerDetector._clock_of`.  While not sampling it
 
 * performs **no work and allocates no space** for accesses to variables
   with no live metadata (the inlined fast path),
@@ -30,10 +35,16 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Optional
 
-from ..detectors.base import Detector, READ_WRITE, WRITE_READ, WRITE_WRITE
+from ..detectors.base import Detector, WRITE_READ, WRITE_WRITE
+from ..detectors.fasttrack import (
+    check_reads,
+    check_write,
+    fasttrack_read,
+    fasttrack_write,
+)
 from ..trace.batch import EventBatch
 from .backend import PackedVarStore
-from .clocks import Epoch, ReadMap, TID_BITS, TID_MASK, epoch_leq_vc
+from .clocks import Epoch, TID_BITS, TID_MASK
 from .engine import pacer_access_packed, pacer_kernel
 from .metadata import SyncMeta, ThreadMeta, VarState, footprint_words
 from .versioning import VE_BOTTOM, VE_TOP, SharableClock
@@ -80,6 +91,10 @@ class PacerDetector(Detector):
             self._thread[tid] = meta
             self.counters.words_allocated += 4
         return meta
+
+    def _clock_of(self, tid: int) -> SharableClock:
+        """The thread's clock, as FASTTRACK's access rules read it."""
+        return self._thread_meta(tid).clock
 
     # -- low-level clock operations (Algorithms 9, 10, 11) ---------------------
 
@@ -319,114 +334,57 @@ class PacerDetector(Detector):
     # -- reads and writes (Algorithms 12 and 13, Table 4) ---------------------------
 
     def read(self, tid: int, var: int, site: int = 0) -> None:
+        if self.sampling:
+            fasttrack_read(self, tid, var, site)  # exactly FASTTRACK (Algorithm 7)
+            return
         if self._arena is not None:
             pacer_access_packed(self, 0, tid, var, site, self._events_seen - 1)
             return
         state = self._vars.get(var)
-        if not self.sampling and state is None:
+        if state is None:
             self.counters.reads_fast_nonsampling += 1  # inlined fast path
             return
-        if self.sampling:
-            self.counters.reads_slow_sampling += 1
-        else:
-            self.counters.reads_slow_nonsampling += 1
-        if state is None:
-            state = VarState()
-            self._vars[var] = state
-            self.counters.words_allocated += 2
-        tmeta = self._thread_meta(tid)
-        clock = tmeta.clock
-        own = clock.get(tid)
+        self.counters.reads_slow_nonsampling += 1
+        clock = self._thread_meta(tid).clock
+        # Non-sampling period (Algorithm 12): the race check always runs —
+        # clocks are frozen, so same-epoch shortcuts that are safe under
+        # FASTTRACK would silently drop sampled races here.
+        check_write(self, var, state, clock, tid, site, WRITE_READ)
         r = state.read
-        if self.sampling:
-            # Sampling period: exactly FASTTRACK (Algorithm 7).
-            if r is not None and r.is_epoch and r.epoch == Epoch(own, tid):
-                return  # same read epoch: no action
-            self._check_write_race(var, state, clock, tid, site, WRITE_READ)
-            if r is None:
-                state.read = ReadMap(tid, own, site, self.now)
-                self.counters.words_allocated += 2
-            elif r.is_epoch and r.leq_vc(clock):
-                r.set_epoch(tid, own, site, self.now)  # overwrite read map
-            else:
-                r.record(tid, own, site, self.now)  # update/inflate read map
-                self.counters.words_allocated += 2
-        else:
-            # Non-sampling period (Algorithm 12): the race check always
-            # runs — clocks are frozen, so same-epoch shortcuts that are
-            # safe under FASTTRACK would silently drop sampled races here.
-            self._check_write_race(var, state, clock, tid, site, WRITE_READ)
-            if r is not None:
-                if r.is_epoch:
-                    # Table 4 Rule 2: discard a read epoch FASTTRACK would
-                    # have overwritten.  A same-epoch read (Rule 1) is
-                    # *not* overwritten by FASTTRACK, and Rule 4 keeps a
-                    # concurrent one.
-                    if r.epoch != Epoch(own, tid) and r.leq_vc(clock):
-                        state.read = None
-                elif r.discard(tid):  # Rule 3: drop only t's entry
+        if r is not None:
+            if r.is_epoch:
+                # Table 4 Rule 2: discard a read epoch FASTTRACK would have
+                # overwritten.  A same-epoch read (Rule 1) is *not*
+                # overwritten by FASTTRACK, and Rule 4 keeps a concurrent one.
+                if r.epoch != Epoch(clock.get(tid), tid) and r.leq_vc(clock):
                     state.read = None
-            self._maybe_discard(var, state)
+            elif r.discard(tid):  # Rule 3: drop only t's entry
+                state.read = None
+        self._maybe_discard(var, state)
 
     def write(self, tid: int, var: int, site: int = 0) -> None:
+        if self.sampling:
+            fasttrack_write(self, tid, var, site)  # exactly FASTTRACK (Algorithm 8)
+            return
         if self._arena is not None:
             pacer_access_packed(self, 1, tid, var, site, self._events_seen - 1)
             return
         state = self._vars.get(var)
-        if not self.sampling and state is None:
+        if state is None:
             self.counters.writes_fast_nonsampling += 1  # inlined fast path
             return
-        if self.sampling:
-            self.counters.writes_slow_sampling += 1
-        else:
-            self.counters.writes_slow_nonsampling += 1
-        if state is None:
-            state = VarState()
-            self._vars[var] = state
-            self.counters.words_allocated += 2
-        tmeta = self._thread_meta(tid)
-        clock = tmeta.clock
-        own = clock.get(tid)
-        w = state.write
-        same_epoch = w is not None and w.clock == own and w.tid == tid
-        if self.sampling:
-            # Sampling period: exactly FASTTRACK (Algorithm 8).
-            if same_epoch:
-                return  # same write epoch: no action
-            self._check_write_race(var, state, clock, tid, site, WRITE_WRITE)
-            self._check_read_races(var, state, clock, tid, site)
-            state.write = Epoch(own, tid)
-            state.write_site = site
-            state.write_index = self.now
-            state.read = None
-            self.counters.words_allocated += 2
-        else:
-            # Non-sampling period (Algorithm 13): checks run even on a
-            # same-epoch write — with frozen clocks, sampled reads that
-            # race this write would otherwise go unreported.
-            self._check_write_race(var, state, clock, tid, site, WRITE_WRITE)
-            self._check_read_races(var, state, clock, tid, site)
-            if same_epoch:
-                return  # keep the sampled metadata; nothing to discard
-            state.write = None  # discard write epoch and read map
-            state.read = None
-            self._maybe_discard(var, state)
-
-    def _check_write_race(self, var, state, clock, tid, site, kind) -> None:
-        """check W ⪯ C_t; report a race with the prior write otherwise."""
-        w = state.write
-        if w is not None and not epoch_leq_vc(w, clock):
-            self.report(
-                var, kind, w.tid, w.clock, state.write_site, tid, site,
-                first_index=state.write_index,
-            )
-
-    def _check_read_races(self, var, state, clock, tid, site) -> None:
-        """check R ⊑ C_t; report read-write races otherwise."""
-        r = state.read
-        if r is not None:
-            for u, c, s, i in r.racing_entries(clock):
-                self.report(var, READ_WRITE, u, c, s, tid, site, first_index=i)
+        self.counters.writes_slow_nonsampling += 1
+        clock = self._thread_meta(tid).clock
+        # Non-sampling period (Algorithm 13): checks run even on a
+        # same-epoch write — with frozen clocks, sampled reads that race
+        # this write would otherwise go unreported.
+        check_write(self, var, state, clock, tid, site, WRITE_WRITE)
+        check_reads(self, var, state, clock, tid, site)
+        if state.write == Epoch(clock.get(tid), tid):
+            return  # keep the sampled metadata; nothing to discard
+        state.write = None  # discard write epoch and read map
+        state.read = None
+        self._maybe_discard(var, state)
 
     def _maybe_discard(self, var: int, state: VarState) -> None:
         """Drop the variable's metadata entirely once fully null."""

@@ -10,6 +10,15 @@ map when a write supersedes it ("New: clear read map" in Algorithm 8);
 this loses nothing — any future access racing with a cleared read also
 races with the superseding write — and aligns FASTTRACK's metadata
 lifecycle with PACER's.
+
+Algorithms 7 and 8 are the module functions :func:`fasttrack_read` and
+:func:`fasttrack_write`.  They serve any detector that supplies its
+thread clocks through ``_clock_of(tid)`` and keeps FASTTRACK's variable
+state (the ``object`` backend's :class:`VarState` dict or the ``packed``
+backend's arena): :class:`FastTrackDetector`, and
+:class:`~repro.core.pacer.PacerDetector` for every access it samples.
+PACER's non-sampling accesses reuse the race checks
+:func:`check_write` and :func:`check_reads`.
 """
 
 from __future__ import annotations
@@ -21,14 +30,102 @@ from ..core.clocks import Epoch, ReadMap, VectorClock, epoch_leq_vc
 from ..core.engine import fasttrack_kernel
 from ..core.metadata import VarState, footprint_words
 from ..trace.batch import EventBatch
-from .base import Detector, READ_WRITE, WRITE_READ, WRITE_WRITE
+from .base import Detector, READ_WRITE, SiteId, WRITE_READ, WRITE_WRITE
 from .generic import VectorClockDetector
 
-__all__ = ["FastTrackDetector"]
+__all__ = [
+    "FastTrackDetector",
+    "check_reads",
+    "check_write",
+    "fasttrack_read",
+    "fasttrack_write",
+]
 
 #: singleton kind columns for the scalar-through-kernel packed path
 _RD = (0,)
 _WR = (1,)
+
+
+# -- race checks ----------------------------------------------------------
+
+
+def check_write(
+    det, var: int, state: VarState, clock: VectorClock, tid: int,
+    site: SiteId, kind: str,
+) -> None:
+    """check W ⪯ C_t; report a race with the prior write otherwise."""
+    w = state.write
+    if w is not None and not epoch_leq_vc(w, clock):
+        det.report(
+            var, kind, w.tid, w.clock, state.write_site, tid, site,
+            first_index=state.write_index,
+        )
+
+
+def check_reads(
+    det, var: int, state: VarState, clock: VectorClock, tid: int, site: SiteId
+) -> None:
+    """check R ⊑ C_t; report read-write races otherwise."""
+    r = state.read
+    if r is None:
+        return
+    for u, c, s, i in r.racing_entries(clock):
+        det.report(var, READ_WRITE, u, c, s, tid, site, first_index=i)
+
+
+# -- accesses (Algorithms 7 and 8) --------------------------------------------
+
+
+def _var(det, var: int) -> VarState:
+    state = det._vars.get(var)
+    if state is None:
+        state = VarState()
+        det._vars[var] = state
+        det.counters.words_allocated += 2
+    return state
+
+
+def fasttrack_read(det, tid: int, var: int, site: SiteId = 0) -> None:
+    """Algorithm 7: one read, on either state backend."""
+    if det._arena is not None:
+        fasttrack_kernel(det, _RD, (tid,), (var,), (site,), det._events_seen - 1)
+        return
+    det.counters.reads_slow_sampling += 1
+    clock = det._clock_of(tid)
+    state = _var(det, var)
+    own = clock.get(tid)
+    r = state.read
+    if r is not None and r.is_epoch and r.epoch == Epoch(own, tid):
+        return  # same epoch: no action
+    check_write(det, var, state, clock, tid, site, WRITE_READ)
+    if r is None:
+        state.read = ReadMap(tid, own, site, det.now)
+        det.counters.words_allocated += 2
+    elif r.is_epoch and r.leq_vc(clock):
+        r.set_epoch(tid, own, site, det.now)  # overwrite read map
+    else:
+        r.record(tid, own, site, det.now)  # update (maybe inflating) map
+        det.counters.words_allocated += 2
+
+
+def fasttrack_write(det, tid: int, var: int, site: SiteId = 0) -> None:
+    """Algorithm 8: one write, on either state backend."""
+    if det._arena is not None:
+        fasttrack_kernel(det, _WR, (tid,), (var,), (site,), det._events_seen - 1)
+        return
+    det.counters.writes_slow_sampling += 1
+    clock = det._clock_of(tid)
+    state = _var(det, var)
+    own = clock.get(tid)
+    if state.write == Epoch(own, tid):
+        return  # same epoch: no action
+    check_write(det, var, state, clock, tid, site, WRITE_WRITE)
+    check_reads(det, var, state, clock, tid, site)
+    state.read = None  # modified FASTTRACK: clear read map
+    state.write = Epoch(own, tid)
+    state.write_site = site
+    state.write_index = det.now
+    det.counters.words_allocated += 2
 
 
 class FastTrackDetector(VectorClockDetector):
@@ -52,83 +149,10 @@ class FastTrackDetector(VectorClockDetector):
             self._arena = None
             self._vars = {}
 
-    # -- metadata helpers -------------------------------------------------
-
-    def _var(self, var: int) -> VarState:
-        state = self._vars.get(var)
-        if state is None:
-            state = VarState()
-            self._vars[var] = state
-            self.counters.words_allocated += 2
-        return state
-
-    # -- race checks --------------------------------------------------------
-
-    def _check_write(
-        self, var: int, state: VarState, clock: VectorClock, tid: int, site: int, kind: str
-    ) -> None:
-        """check W ⪯ C_t; report a race with the prior write otherwise."""
-        w = state.write
-        if w is not None and not epoch_leq_vc(w, clock):
-            self.report(
-                var, kind, w.tid, w.clock, state.write_site, tid, site,
-                first_index=state.write_index,
-            )
-
-    def _check_reads(
-        self, var: int, state: VarState, clock: VectorClock, tid: int, site: int
-    ) -> None:
-        """check R ⊑ C_t; report read-write races otherwise."""
-        r = state.read
-        if r is None:
-            return
-        for u, c, s, i in r.racing_entries(clock):
-            self.report(var, READ_WRITE, u, c, s, tid, site, first_index=i)
-
     # -- accesses (Algorithms 7 and 8) ------------------------------------------
 
-    def read(self, tid: int, var: int, site: int = 0) -> None:
-        if self._arena is not None:
-            fasttrack_kernel(
-                self, _RD, (tid,), (var,), (site,), self._events_seen - 1
-            )
-            return
-        self.counters.reads_slow_sampling += 1
-        clock = self._clock_of(tid)
-        state = self._var(var)
-        own = clock.get(tid)
-        r = state.read
-        if r is not None and r.is_epoch and r.epoch == Epoch(own, tid):
-            return  # same epoch: no action
-        self._check_write(var, state, clock, tid, site, WRITE_READ)
-        if r is None:
-            state.read = ReadMap(tid, own, site, self.now)
-            self.counters.words_allocated += 2
-        elif r.is_epoch and r.leq_vc(clock):
-            r.set_epoch(tid, own, site, self.now)  # overwrite read map
-        else:
-            r.record(tid, own, site, self.now)  # update (maybe inflating) map
-            self.counters.words_allocated += 2
-
-    def write(self, tid: int, var: int, site: int = 0) -> None:
-        if self._arena is not None:
-            fasttrack_kernel(
-                self, _WR, (tid,), (var,), (site,), self._events_seen - 1
-            )
-            return
-        self.counters.writes_slow_sampling += 1
-        clock = self._clock_of(tid)
-        state = self._var(var)
-        own = clock.get(tid)
-        if state.write == Epoch(own, tid):
-            return  # same epoch: no action
-        self._check_write(var, state, clock, tid, site, WRITE_WRITE)
-        self._check_reads(var, state, clock, tid, site)
-        state.read = None  # modified FASTTRACK: clear read map
-        state.write = Epoch(own, tid)
-        state.write_site = site
-        state.write_index = self.now
-        self.counters.words_allocated += 2
+    read = fasttrack_read
+    write = fasttrack_write
 
     # -- batched fast path ---------------------------------------------------
 

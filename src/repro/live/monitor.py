@@ -44,7 +44,6 @@ from ..obs.provenance import SyncIndex
 from ..trace.events import (
     ACQUIRE,
     FORK,
-    ID_TO_KIND,
     JOIN,
     KIND_TO_ID,
     READ,
@@ -161,22 +160,17 @@ class RaceMonitor:
     def _feed(self, k: int, tid: int, target: int, site: SiteId) -> None:
         """Analyze one event given as its kind id (mutex held).
 
-        Mirrors the event into the observer's flight recorder at its
-        trace position, exactly like the offline recorded path, then
-        hands it to :meth:`~repro.detectors.base.Detector.step`, which
-        advances the virtual clock (so live races carry real trace
-        indices), and fires ``on_race`` for every race it raised.
+        :meth:`~repro.detectors.base.Detector.step` advances the virtual
+        clock, so live races carry real trace indices.  With an observer
+        attached the event goes through
+        :meth:`~repro.obs.observer.RunObserver.step`, which also records
+        it in the flight recorder and captures every race it raised.
         """
-        det = self.detector
         obs = self.observer
-        rec = getattr(obs, "recorder", None)
-        if rec is not None:
-            rec.record(det._events_seen, ID_TO_KIND[k], tid, target, site)
-        known = len(det.races)
-        det.step(k, tid, target, site)
-        if obs is not None:
-            for race in det.races[known:]:
-                obs.on_race(det, race)
+        if obs is None:
+            self.detector.step(k, tid, target, site)
+        else:
+            obs.step(self.detector, k, tid, target, site)
 
     def on_read(self, var: int, site: SiteId) -> None:
         tid = self._tid()

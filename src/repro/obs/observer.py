@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..trace.events import ID_TO_KIND
 from .metrics import MetricsRegistry
 from .perfetto import (
     PID_DETECTOR,
@@ -149,6 +150,24 @@ class RunObserver:
         context while the surrounding events are still in the rings."""
         rec = self.recorder
         self.race_contexts.append(rec.capture(race) if rec is not None else {})
+
+    def step(self, detector, k: int, tid: int, target: int, site=0) -> None:
+        """Analyze one event of a live feed (the simulated runtime, the
+        live monitor) under this observer.
+
+        Records the event, sampling markers included, in the flight
+        recorder at its trace position, exactly like the offline
+        recorded replay, then hands it to
+        :meth:`~repro.detectors.base.Detector.step` and calls
+        :meth:`on_race` for every race it raised.
+        """
+        rec = self.recorder
+        if rec is not None:
+            rec.record(detector._events_seen, ID_TO_KIND[k], tid, target, site)
+        known = len(detector.races)
+        detector.step(k, tid, target, site)
+        for race in detector.races[known:]:
+            self.on_race(detector, race)
 
     def on_gc(self, detector, vt: int) -> None:
         """A nursery collection: the live path's natural probe boundary."""

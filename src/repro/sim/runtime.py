@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from ..core.sampling import SamplingController
 from ..detectors.base import Detector
-from ..trace.events import ALLOC, Event, SBEGIN, SEND, SYNC_KINDS
+from ..trace.events import ALLOC, KIND_TO_ID, SBEGIN, SEND, SYNC_KINDS, Event
 from .program import Program
 from .scheduler import Scheduler
 
@@ -109,6 +109,20 @@ class Runtime:
 
     # -- the event pump ----------------------------------------------------
 
+    def _analyze(self, k: int, tid: int, target: int, site) -> None:
+        """Hand one event, given as its kind id, to the detector.
+
+        With an observer attached the event goes through
+        :meth:`~repro.obs.observer.RunObserver.step`, so the flight
+        recorder sees every event, sampling markers included, and each
+        race is captured as it is reported.
+        """
+        obs = self.observer
+        if obs is None:
+            self.detector.step(k, tid, target, site)
+        else:
+            obs.step(self.detector, k, tid, target, site)
+
     def _on_event(self, event: Event) -> None:
         self._events += 1
         kind = event.kind
@@ -127,7 +141,7 @@ class Runtime:
                     self.sync_sampled += 1
             self._allocated += self.config.bytes_per_access
         before = self.detector.counters.words_allocated
-        self.detector.apply(event)
+        self._analyze(KIND_TO_ID[kind], event.tid, event.target, event.site)
         # Detector metadata allocation counts against the nursery — this
         # is what shortens sampling periods and biases naive controllers.
         self._allocated += (
@@ -145,10 +159,7 @@ class Runtime:
             self._sync_this_period = 0
             next_sampling = self.controller.decide()
             if next_sampling != self._sampling:
-                if next_sampling:
-                    self.detector.apply(Event(SBEGIN, -1, 0, 0))
-                else:
-                    self.detector.apply(Event(SEND, -1, 0, 0))
+                self._analyze(KIND_TO_ID[SBEGIN if next_sampling else SEND], -1, 0, 0)
                 self._sampling = next_sampling
         self.gc_log.append((self._events, self._sampling))
         if self.observer is not None:
@@ -180,7 +191,7 @@ class Runtime:
         """Execute the program to completion; returns the detector."""
         # Allow the controller to start us inside a sampling period.
         if self.controller is not None and self.controller.decide():
-            self.detector.apply(Event(SBEGIN, -1, 0, 0))
+            self._analyze(KIND_TO_ID[SBEGIN], -1, 0, 0)
             self._sampling = True
         self._scheduler.run()
         if self.controller is not None:

@@ -101,7 +101,6 @@ COUNT_FLAGS = [
     (["serve", "--credits", "0"], "--credits"),
     (["serve", "--shards", "0"], "--shards"),
     (["serve", "--max-sessions", "0"], "--max-sessions"),
-    (["analyze", "{trace}", "--batch", "--batch-size", "0"], "--batch-size"),
     (["stream", "{trace}", "--address", "tcp://127.0.0.1:1", "--session", "s",
       "--chunk-size", "0"], "--chunk-size"),
     (["analyze", "{trace}", "--sample-every", "-5"], "--sample-every"),
@@ -123,6 +122,34 @@ def test_count_flag_below_one_is_a_usage_error(argv, flag, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"{flag} must be at least 1")
+    assert captured.err.count("\n") == 1
+
+
+#: each address flag given without its tcp:// or unix:// scheme
+ADDRESS_FLAGS = [
+    (["stream", "{trace}", "--session", "s", "--address", "127.0.0.1:9"],
+     "--address"),
+    (["report", "--address", "127.0.0.1:9"], "--address"),
+    (["top", "--once", "--address", "127.0.0.1:9"], "--address"),
+    (["serve", "--duration", "0.1", "--address", "127.0.0.1:9"], "--address"),
+    (["chaos-proxy", "--duration", "0.1", "--upstream", "tcp://127.0.0.1:9",
+      "--listen", "127.0.0.1:0"], "--listen"),
+    (["chaos-proxy", "--duration", "0.1", "--upstream", "127.0.0.1:9"],
+     "--upstream"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", ADDRESS_FLAGS,
+    ids=[f"{argv[0]} {flag}" for argv, flag in ADDRESS_FLAGS],
+)
+def test_malformed_address_is_a_usage_error(argv, flag, tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    dump_trace([fork(0, 1), wr(0, 1, 1), wr(1, 1, 2)], path)
+    assert main([arg.format(trace=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{flag}: ")
     assert captured.err.count("\n") == 1
 
 

@@ -37,7 +37,6 @@ SURFACE = {
         (("--limit",), "limit", 20, None, "int", None, False, None),
         (("--fail-on-race",), "fail_on_race", False, None, None, 0, False, True),
         (("--batch",), "batch", False, None, None, 0, False, True),
-        (("--batch-size",), "batch_size", 4096, None, "int", None, False, None),
         (("--json",), "json", False, None, None, 0, False, True),
         (("--state-backend",), "state_backend", None, BACKENDS, None, None, False, None),
         (("--metrics-out",), "metrics_out", None, None, None, None, False, None),

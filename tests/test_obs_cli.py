@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import validate_chrome_trace
+from repro.obs.reports import validate_report
 from repro.trace.events import fork, wr
 from repro.trace.textio import dump_trace
 
@@ -122,6 +123,61 @@ class TestDetectObs:
         assert snap["counters"]["events"] > 0
         assert snap["counters"]["gc_count"] > 0
         assert timeline.read_text().strip()
+
+
+class TestLiveRaceReports:
+    """``detect`` and ``profile`` reports carry the evidence an offline
+    ``analyze`` of the same run does: flight-recorder context and a
+    witness for every race, with the same verdicts."""
+
+    @staticmethod
+    def _report(tmp_path, name, argv):
+        path = tmp_path / f"{name}.report.json"
+        assert main(argv + ["--report-out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert validate_report(doc) == []
+        assert doc["races"]
+        return doc
+
+    @staticmethod
+    def _verdicts(doc):
+        return {
+            (r["first_site"], r["second_site"]): r["witness"]["verdict"]
+            for r in doc["races"]
+        }
+
+    @pytest.mark.parametrize("command", ["detect", "profile"])
+    def test_live_report_matches_offline_analyze(self, command, tmp_path, capsys):
+        sinks = [
+            "--metrics-out", str(tmp_path / "m.json"),
+            "--timeline-out", str(tmp_path / "t.jsonl"),
+            "--trace-out", str(tmp_path / "p.trace.json"),
+        ]
+        live = self._report(
+            tmp_path, command,
+            [command, "micro", "--seed", "0", "--detector", "fasttrack", *sinks],
+        )
+        for race in live["races"]:
+            assert race["context"] is not None
+            assert race["witness"] is not None
+        trace = tmp_path / "micro.pacr"
+        assert main(["record", "micro", str(trace), "--seed", "0",
+                     "--format", "binary"]) == 0
+        offline = self._report(
+            tmp_path, "analyze",
+            ["analyze", str(trace), "--detector", "fasttrack"],
+        )
+        assert self._verdicts(live) == self._verdicts(offline)
+        assert "sync-gap" in self._verdicts(live).values()
+
+    def test_pacer_witnesses_name_sampling_periods(self, tmp_path, capsys):
+        doc = self._report(
+            tmp_path, "pacer",
+            ["detect", "micro", "--seed", "0", "--detector", "pacer",
+             "--rate", "25"],
+        )
+        for race in doc["races"]:
+            assert race["witness"]["sampling"] is not None
 
 
 class TestMatrixJson:
