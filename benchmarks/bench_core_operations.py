@@ -16,7 +16,9 @@ A second section measures the batched event dispatch (``run_batch``)
 against scalar ``run`` on recorded traces.  Running this file directly
 with ``--smoke`` executes a fast version of just that comparison and
 exits non-zero if batched dispatch is ever slower than scalar — the CI
-throughput gate.
+throughput gate.  Every ratio here, gated or not, is measured by
+:func:`repro.bench.interleaved`: alternating rounds, median of the
+per-round ratios.
 """
 
 import gc
@@ -29,9 +31,9 @@ from _common import marked_trace, print_banner
 from repro.analysis import render_table
 from repro.bench import (
     BATCH_CONFIGS,
-    _best_rate,
     backend_comparison,
     emit_json as _emit_json,
+    interleaved,
     interleaved_speedup,
 )
 from repro.core.backend import BACKENDS
@@ -130,7 +132,7 @@ def test_core_operation_scaling(benchmark):
 # wrappers and the CI gate entry points.
 
 
-def batched_speedups(size=0.7, repeats=3, backend=None):
+def batched_speedups(size=0.7, rounds=5, backend=None):
     """[(label, n_events, encode ns/ev, scalar ev/s, batched ev/s, speedup), ...]
 
     Each engine is timed on its native input: scalar ``run`` over the
@@ -138,6 +140,8 @@ def batched_speedups(size=0.7, repeats=3, backend=None):
     columnar :class:`EventBatch`.  Encoding is a one-time trace-loading
     cost (like parsing events from a file), reported in its own column.
     ``backend`` picks the state representation (None = session default).
+    The speedup is the median of ``rounds`` interleaved per-round
+    ratios; the rates are each side's median.
     """
     rows = []
     for label, factory, build in BATCH_CONFIGS:
@@ -156,9 +160,8 @@ def batched_speedups(size=0.7, repeats=3, backend=None):
             det.run_batch(encoded)
             return det.perf.events_per_sec
 
-        s = _best_rate(scalar, repeats)
-        b = _best_rate(batched, repeats)
-        rows.append((label, len(events), encode_ns, s, b, b / s))
+        speedup, s, b = interleaved(scalar, batched, rounds)
+        rows.append((label, len(events), encode_ns, s, b, speedup))
     return rows
 
 
@@ -185,7 +188,7 @@ def test_batched_dispatch_throughput(benchmark):
 
 def smoke() -> int:
     """Fast CI gate: batched dispatch must not be slower than scalar."""
-    rows = batched_speedups(size=0.3, repeats=2)
+    rows = batched_speedups(size=0.3, rounds=5)
     print_banner("Batched dispatch smoke gate")
     _print_speedups(rows)
     slower = [row[0] for row in rows if row[-1] <= 1.0]
@@ -271,14 +274,16 @@ def state_gate() -> int:
 # -- observability-disabled overhead ------------------------------------------
 
 
-def obs_disabled_overhead(size=0.5, repeats=3):
+def obs_disabled_overhead(size=0.5, rounds=7):
     """[(label, n_events, baseline ev/s, run_batch ev/s, ratio), ...]
 
     ``baseline`` drives ``apply_batch`` directly — the batched hot loop
     with no observer hooks at all, i.e. the pre-observability shape of
     ``run_batch``.  ``run_batch`` with no observer attached must stay
     within a few percent of it: its only additions are one
-    ``observer is None`` check per batch and the perf accounting.
+    ``observer is None`` check per batch and the perf accounting.  The
+    two sides run nearly the same code, so only interleaved rounds
+    (median of ``rounds`` per-round ratios) tell them apart from drift.
     """
     rows = []
     for label, factory, build in BATCH_CONFIGS:
@@ -296,9 +301,8 @@ def obs_disabled_overhead(size=0.5, repeats=3):
             det.run_batch(encoded)
             return det.perf.events_per_sec
 
-        base = _best_rate(baseline, repeats)
-        dis = _best_rate(disabled, repeats)
-        rows.append((label, len(events), base, dis, dis / base))
+        ratio, base, dis = interleaved(baseline, disabled, rounds)
+        rows.append((label, len(events), base, dis, ratio))
     return rows
 
 
@@ -316,7 +320,7 @@ OBS_GATE_RATIO = 0.95
 
 def obs_gate() -> int:
     """CI gate: disabled observability costs < 5% replay throughput."""
-    rows = obs_disabled_overhead(size=0.3, repeats=3)
+    rows = obs_disabled_overhead(size=0.3, rounds=7)
     print_banner("Observability-disabled throughput gate")
     _print_obs_overhead(rows)
     slow = [label for label, _, _, _, ratio in rows if ratio < OBS_GATE_RATIO]

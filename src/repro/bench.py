@@ -12,14 +12,16 @@ Measurement methodology
 
 Shared machines drift: the same replay can swing 2x slower between two
 back-to-back sweeps as neighbors come and go.  Timing all of backend A
-and then all of backend B bakes that drift into the ratio, so the
-headline speedup is measured **interleaved**: alternating A/B runs,
-taking the *median of per-round ratios*.  Each ratio compares two runs
-executed milliseconds apart, which cancels machine-level drift; the
-median discards rounds where a neighbor landed mid-pair.  Per-backend
-absolute throughputs are still reported best-of-N (the usual
-minimum-noise estimator), but only the interleaved ratio feeds the
-speedup gate.
+and then all of backend B bakes that drift into the ratio, so every
+gated ratio is measured **interleaved** (:func:`interleaved`): a
+warm-up run of each side, then rounds that alternate which side runs
+first, taking the *median of per-round ratios*.  Each ratio compares two
+runs executed milliseconds apart, which cancels machine-level drift; the
+median discards rounds where a neighbor landed mid-pair.  The packed
+speedup gate here and the smoke, observability and state gates of
+``benchmarks/bench_core_operations.py`` all measure this way.
+Per-backend absolute throughputs are still reported best-of-N (the usual
+minimum-noise estimator), but no gate reads them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import statistics
 import time
 from functools import lru_cache
-from typing import Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from .core.backend import BACKENDS
 from .core.pacer import PacerDetector
@@ -42,6 +44,7 @@ __all__ = [
     "recorded_trace",
     "marked_trace",
     "backend_comparison",
+    "interleaved",
     "interleaved_speedup",
     "emit_json",
     "check_gates",
@@ -165,15 +168,37 @@ def backend_comparison(size=0.7, repeats=3):
     return rows
 
 
+def interleaved(baseline: Callable[[], float], contender: Callable[[], float],
+                rounds: int = 5) -> Tuple[float, float, float]:
+    """Compare two rates (higher is better) the drift-robust way.
+
+    Runs each side once to warm allocators and code paths, then
+    ``rounds`` rounds that alternate which side runs first.  Returns
+    ``(median of per-round contender/baseline ratios, median baseline
+    rate, median contender rate)`` — see the module docstring for why
+    this beats comparing two best-of-N sweeps on shared boxes.
+    """
+    baseline(), contender()
+    ratios, base_rates, cont_rates = [], [], []
+    for i in range(rounds):
+        if i % 2:
+            cont = contender()
+            base = baseline()
+        else:
+            base = baseline()
+            cont = contender()
+        ratios.append(cont / base)
+        base_rates.append(base)
+        cont_rates.append(cont)
+    return (statistics.median(ratios), statistics.median(base_rates),
+            statistics.median(cont_rates))
+
+
 def interleaved_speedup(contender: str, baseline: str = "object",
                         config: str = "fasttrack", size: float = 1.0,
                         rounds: int = 5):
-    """Drift-robust batched-replay speedup of one backend over another.
-
-    Runs ``rounds`` alternating baseline/contender replays and returns
-    ``(median of per-round ratios, events)`` — see the module docstring
-    for why this beats comparing two best-of-N sweeps on shared boxes.
-    """
+    """Batched-replay speedup of one backend over another, measured by
+    :func:`interleaved`; returns ``(median ratio, events)``."""
     label, factory, build = next(c for c in BATCH_CONFIGS if c[0] == config)
     events = build(size)
     encoded = encode_batch(events)
@@ -183,13 +208,10 @@ def interleaved_speedup(contender: str, baseline: str = "object",
         det.run_batch(encoded)
         return det.perf.events_per_sec
 
-    run(baseline), run(contender)  # warm allocators and code paths
-    ratios = []
-    for _ in range(rounds):
-        base = run(baseline)
-        cont = run(contender)
-        ratios.append(cont / base)
-    return statistics.median(ratios), len(events)
+    speedup, _, _ = interleaved(
+        lambda: run(baseline), lambda: run(contender), rounds
+    )
+    return speedup, len(events)
 
 
 def write_bench_json(path, doc: Dict) -> None:

@@ -5,16 +5,15 @@ Commands:
 * ``workloads`` — list the bundled synthetic benchmarks.
 * ``record``    — run a workload and write its trace to a file.
 * ``analyze``   — run a detector over a trace file and report races
-  (``--batch`` uses the columnar batched fast path — binary traces are
-  then mmap-decoded straight into columns; both modes print events/sec
+  (``--batch`` selects batched dispatch; both modes print events/sec
   and ns/event from the detector's perf counters).
 * ``oracle``    — exact happens-before ground truth for a trace file.
 * ``explain``   — replay a trace (or a seeded workload) with a flight
   recorder attached and explain every distinct race: happens-before
   witness, sampling attribution, surrounding event context, and (for
   PACER) why each unreported shortest race was discarded.
-* ``detect``    — run a workload live under a detector (PACER with a
-  sampling rate, or any always-on detector).
+* ``detect``    — run a workload live under a detector (PACER at
+  ``--rate`` percent, default 10, or any always-on detector).
 * ``profile``   — run a workload live with full observability: metrics
   snapshot (``metrics.json``), virtual-time probe timeline
   (``timeline.jsonl``), and a Chrome-trace/Perfetto profile
@@ -50,9 +49,14 @@ Commands:
 A flag that means the same thing on several commands is declared once,
 in :data:`_FLAGS`, and every run artifact (``--report-out``,
 ``--metrics-out``, ...) is written by :func:`_write_artifacts`; the
-README tabulates which command takes which.  Trace file formats are
+README tabulates which command takes which.  The single-run commands
+(``analyze``, ``explain``, ``detect``, ``profile``, ``coverage``) share
+one pipeline: :func:`_load` reads a trace, :func:`_run` runs the
+detector over it or over a live workload, and :func:`_report` and
+:func:`_coverage` document the run.  Trace file formats are
 auto-detected (binary traces start with the ``PACR`` magic); ``--format``
-forces one.
+forces one, and every command reads binary traces through the mmap
+column reader.
 """
 
 from __future__ import annotations
@@ -108,7 +112,6 @@ from .trace.binio import (
     MAGIC,
     describe_binary,
     dump_trace_binary,
-    load_trace_binary,
     load_trace_columns,
 )
 from .trace.oracle import HBOracle
@@ -144,17 +147,58 @@ def _count(args, dest: str) -> int:
     return value
 
 
-def _address(args, dest: str) -> str:
-    """The value of an address flag; one that is not ``tcp://host:port``
-    or ``unix://path`` is a usage error."""
+def _address(args, dest: str, parse: Optional[Callable] = None) -> str:
+    """The value of an address flag; one that ``parse`` rejects (by
+    default: not ``tcp://host:port`` or ``unix://path``) is a usage
+    error."""
     from .net.client import parse_address
 
     value = getattr(args, dest)
     try:
-        parse_address(value)
+        (parse or parse_address)(value)
     except ValueError as exc:
         raise _UsageError(f"--{dest}: {exc}") from None
     return value
+
+
+class _Stdout:
+    """``sys.stdout`` while a command runs.
+
+    Once the reader has gone (a write or flush raised
+    :class:`BrokenPipeError`, as under ``repro ... | head -1``), the rest
+    of the command's text is dropped: the command still does its work,
+    writes every artifact it was asked for and returns its exit code.
+    """
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+        # Python sets sys.stdout to None when fd 1 is closed at start
+        self.gone = stream is None
+
+    def write(self, text: str) -> int:
+        if not self.gone:
+            try:
+                return self.stream.write(text)
+            except BrokenPipeError:
+                self.gone = True
+        return len(text)
+
+    def flush(self) -> None:
+        if not self.gone:
+            try:
+                self.stream.flush()
+            except BrokenPipeError:
+                self.gone = True
+
+    def __getattr__(self, name: str):
+        return getattr(self.stream, name)
+
+
+def _stdout_gone() -> bool:
+    """Flush stdout; whether its reader has gone (polling commands stop
+    then)."""
+    sys.stdout.flush()
+    return getattr(sys.stdout, "gone", False)
 
 
 def _server_failed(address: str, exc: Exception) -> int:
@@ -164,13 +208,14 @@ def _server_failed(address: str, exc: Exception) -> int:
     return 1
 
 
-def _load(path: Path, fmt: str, columns: bool = False):
-    """Read a trace file and check its feasibility in whichever form it
-    is read; ``fmt="auto"`` sniffs the first four bytes.
+def _load(path: Path, fmt: str):
+    """Read a trace file and check its feasibility; ``fmt="auto"`` sniffs
+    the first four bytes.
 
-    ``columns=True`` maps a binary trace straight into an
-    :class:`~repro.trace.batch.EventBatch` (zero-copy mmap decode)
-    instead of building a :class:`Trace`.  Raises :class:`_BadTrace`.
+    A binary trace is mapped straight into an
+    :class:`~repro.trace.batch.EventBatch` (zero-copy mmap decode), a
+    text trace is parsed into a :class:`Trace`; both iterate as events.
+    Raises :class:`_BadTrace`.
     """
     try:
         if fmt == "auto":
@@ -178,8 +223,6 @@ def _load(path: Path, fmt: str, columns: bool = False):
                 fmt = "binary" if fh.read(4) == MAGIC else "text"
         if fmt != "binary":
             return load_trace(path)
-        if not columns:
-            return load_trace_binary(path)
         batch = load_trace_columns(path)
         # to_list_columns caches the lists the kernels then replay
         FeasibilityChecker().check(0, *batch.to_list_columns())
@@ -217,43 +260,60 @@ def _resolve_trace(args) -> Tuple[Optional[Path], Optional[str]]:
     )
 
 
-def _live_run(
-    args,
-    workload: str,
-    detector: Detector,
-    observer: Optional[RunObserver],
-    default_rate: Optional[float] = None,
-    track_memory: bool = False,
-) -> Tuple[Runtime, Optional[float]]:
-    """Run ``workload`` live under ``detector`` (``detect``, ``profile``,
-    ``coverage``).
+#: the sampling rate, in percent, of a live PACER run without ``--rate``
+DEFAULT_RATE = 10.0
 
-    PACER samples at ``--rate`` percent, else at ``default_rate`` (None:
-    no sampling controller); ``--rate`` with another detector is a usage
-    error.  Returns the finished runtime and the nominal rate as a
-    fraction (None without a controller).
+
+def _run(
+    args, obs: Optional[RunObserver], trace=None,
+    workload: Optional[str] = None, track_memory: bool = False,
+) -> Tuple[Detector, int, Optional[float], Optional[Runtime]]:
+    """Run ``--detector`` on ``--state-backend`` under ``obs``: the one
+    run step of ``analyze``, ``explain``, ``detect``, ``profile`` and
+    ``coverage``.
+
+    With ``trace`` the detector replays it (batched under ``--batch``);
+    otherwise it runs ``workload`` live, and PACER samples at ``--rate``
+    percent, default :data:`DEFAULT_RATE`.  ``--rate`` on a replay or
+    with another detector is a usage error.  Returns the detector, the
+    number of events it saw, the nominal rate as a fraction (None
+    without a sampling controller) and the live runtime (None for a
+    replay).
     """
-    rate = args.rate
-    if args.detector != "pacer":
+    rate = getattr(args, "rate", None)
+    detector = DETECTORS[args.detector](backend=args.state_backend)
+    if trace is not None:
         if rate is not None:
-            raise _UsageError("--rate only applies to the pacer detector")
-    elif rate is None:
-        rate = default_rate
+            raise _UsageError("--rate only applies to live workload runs")
+        if obs is not None:
+            obs.attach(detector)
+        if getattr(args, "batch", False):
+            detector.run_batch(trace)
+        else:
+            detector.run(trace)
+        if obs is not None:
+            obs.finalize(detector)
+        return detector, detector.perf.events, None, None
     controller = None
-    if rate is not None:
+    if args.detector == "pacer":
         controller = BiasCorrectedController(
-            rate / 100.0, rng=random.Random(args.seed)
+            (DEFAULT_RATE if rate is None else rate) / 100.0,
+            rng=random.Random(args.seed),
         )
+    elif rate is not None:
+        raise _UsageError("--rate only applies to the pacer detector")
+    # the runtime attaches and finalizes the observer itself
     runtime = Runtime(
         build_program(WORKLOADS[workload].scaled(args.scale), args.seed),
         detector,
         controller=controller,
         config=RuntimeConfig(track_memory=track_memory),
         seed=args.seed,
-        observer=observer,
+        observer=obs,
     )
     runtime.run()
-    return runtime, None if controller is None else controller.rate
+    rate = None if controller is None else controller.rate
+    return detector, runtime.events, rate, runtime
 
 
 def _read_fault_plan(args, parse: Callable):
@@ -345,6 +405,55 @@ def _make_observer(args, always: bool = False) -> Optional[RunObserver]:
     )
 
 
+def _report(
+    detector: Detector, obs: RunObserver, source: str, events: int,
+    rate: Optional[float] = None, site_name=None, trace=None,
+    discarded: Optional[List[Dict]] = None,
+) -> Dict:
+    """The race report of one observed run.
+
+    Witnesses come from the exact sync index of ``trace`` when the whole
+    trace is in memory, else from the flight recorder's bounded window.
+    """
+    if trace is not None:
+        sync = SyncIndex.from_trace(trace)
+    elif obs.recorder is not None:
+        sync = SyncIndex.from_recorder(obs.recorder)
+    else:
+        sync = None
+    return build_report(
+        detector.races,
+        source=source,
+        detector=detector.name,
+        backend=detector.backend_name,
+        rate=rate,
+        events=events,
+        contexts=obs.race_contexts,
+        sync=sync,
+        site_name=site_name,
+        discarded=discarded,
+    )
+
+
+def _coverage(
+    detector: Detector, obs: RunObserver, source: str, events: int,
+    rate: Optional[float] = None, workload: Optional[str] = None,
+) -> Dict:
+    """The coverage document of one observed run.  It deliberately
+    omits the state backend, so the same run is byte-identical across
+    ``--state-backend`` choices (the quality suite pins this)."""
+    return build_coverage(
+        source=source,
+        detector=detector.name,
+        workload=workload,
+        nominal_rate=rate,
+        counters=detector.counters.snapshot(),
+        marks=obs.sampling_marks,
+        races=detector.races,
+        events=events,
+    )
+
+
 def _write_run_artifacts(
     args,
     obs: Optional[RunObserver],
@@ -358,52 +467,17 @@ def _write_run_artifacts(
     quiet: bool = False,
 ) -> None:
     """The artifacts of one observed detector run (``analyze``,
-    ``detect``, ``profile``).
-
-    Race-report witnesses come from the exact sync index of ``trace``
-    when the whole trace is in memory, else from the flight recorder's
-    bounded window.  The coverage document deliberately omits the state
-    backend, so the same run is byte-identical across
-    ``--state-backend`` choices (the quality suite pins this).
-    """
+    ``detect``, ``profile``)."""
     if obs is None:
         return
-
-    def report(path: Path) -> None:
-        if trace is not None:
-            sync = SyncIndex.from_trace(trace)
-        elif obs.recorder is not None:
-            sync = SyncIndex.from_recorder(obs.recorder)
-        else:
-            sync = None
-        write_report(path, build_report(
-            detector.races,
-            source=source,
-            detector=detector.name,
-            backend=detector.backend_name,
-            rate=rate,
-            events=events,
-            contexts=obs.race_contexts,
-            sync=sync,
-            site_name=site_name,
-        ))
-
-    def coverage(path: Path) -> None:
-        write_coverage(path, build_coverage(
-            source=source,
-            detector=detector.name,
-            workload=workload,
-            nominal_rate=rate,
-            counters=detector.counters.snapshot(),
-            marks=obs.sampling_marks,
-            races=detector.races,
-            events=events,
-        ))
-
     _write_artifacts(
         args, quiet=quiet,
-        report_out=report,
-        coverage_out=coverage,
+        report_out=lambda path: write_report(path, _report(
+            detector, obs, source, events, rate, site_name, trace
+        )),
+        coverage_out=lambda path: write_coverage(path, _coverage(
+            detector, obs, source, events, rate, workload
+        )),
         metrics_out=obs.write_metrics,
         timeline_out=obs.write_timeline,
         trace_out=obs.write_trace,
@@ -460,24 +534,16 @@ def cmd_record(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    trace = _load(Path(args.trace), args.format, columns=args.batch)
-    detector = DETECTORS[args.detector](backend=args.state_backend)
+    trace = _load(Path(args.trace), args.format)
     obs = _make_observer(args)
-    if obs is not None:
-        obs.attach(detector)
-    if args.batch:
-        detector.run_batch(trace)
-    else:
-        detector.run(trace)
-    if obs is not None:
-        obs.finalize(detector)
+    detector, events, _, _ = _run(args, obs, trace=trace)
     if args.json:
         _write_json(
             {
                 "command": "analyze",
                 "trace": args.trace,
                 "detector": detector.name,
-                "events": detector.perf.events,
+                "events": events,
                 "races": [_race_dict(r) for r in detector.races],
                 "distinct_races": sorted(detector.distinct_races),
                 "counters": detector.counters.snapshot(),
@@ -489,8 +555,7 @@ def cmd_analyze(args) -> int:
         print(f"perf: {detector.perf.summary()}")
         _print_races(detector, args.limit)
     _write_run_artifacts(
-        args, obs, detector, "analyze", detector.perf.events,
-        trace=trace, quiet=args.json,
+        args, obs, detector, "analyze", events, trace=trace, quiet=args.json,
     )
     return 1 if detector.races and args.fail_on_race else 0
 
@@ -514,14 +579,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    detector = DETECTORS[args.detector](backend=args.state_backend)
     obs = _make_observer(args)
-    runtime, rate = _live_run(args, args.workload, detector, obs)
+    detector, events, rate, runtime = _run(args, obs, workload=args.workload)
     if rate is not None:
         print(f"effective sampling rate: {runtime.effective_sampling_rate:.2%}")
     _print_races(detector, args.limit)
     _write_run_artifacts(
-        args, obs, detector, "detect", runtime.events, rate=rate,
+        args, obs, detector, "detect", events, rate=rate,
         workload=args.workload, site_name=describe_site,
     )
     return 0
@@ -529,23 +593,21 @@ def cmd_detect(args) -> int:
 
 def cmd_profile(args) -> int:
     """Run a workload live with full observability and write all sinks."""
-    detector = DETECTORS[args.detector](backend=args.state_backend)
     obs = _make_observer(args, always=True)
-    runtime, rate = _live_run(
-        args, args.workload, detector, obs, default_rate=10.0,
-        track_memory=True,
+    detector, events, rate, runtime = _run(
+        args, obs, workload=args.workload, track_memory=True
     )
     periods = obs.sampling_periods()
     sampled_vt = sum(end - begin for begin, end in periods)
     print(
-        f"{detector.name} on {args.workload}: {runtime.events} events, "
+        f"{detector.name} on {args.workload}: {events} events, "
         f"{len(detector.races)} race reports "
         f"({len(detector.distinct_races)} distinct)"
     )
     if rate is not None:
         print(
             f"sampling: {len(periods)} periods covering {sampled_vt} of "
-            f"{runtime.events} events "
+            f"{events} events "
             f"(effective rate {runtime.effective_sampling_rate:.2%})"
         )
     print(
@@ -554,7 +616,7 @@ def cmd_profile(args) -> int:
         f"{runtime.context_switches} context switches"
     )
     _write_run_artifacts(
-        args, obs, detector, "profile", runtime.events, rate=rate,
+        args, obs, detector, "profile", events, rate=rate,
         workload=args.workload, site_name=describe_site,
     )
     return 0
@@ -740,7 +802,7 @@ def _write_matrix_metrics(path: Path, merged) -> None:
     _write_json({"command": "matrix", "cells": cells}, path)
 
 
-def _pacer_discard_attribution(trace, detector, sync: SyncIndex, cap: int = 50) -> List[Dict]:
+def _pacer_discard_attribution(trace, detector, cap: int = 50) -> List[Dict]:
     """Why each unreported shortest race was discarded (PACER only).
 
     Compares the happens-before oracle's *reportable* races — the pairs a
@@ -749,6 +811,7 @@ def _pacer_discard_attribution(trace, detector, sync: SyncIndex, cap: int = 50) 
     falls in a sampling period; the attribution names the period (or its
     absence) for every miss.
     """
+    sync = SyncIndex.from_trace(trace)
     reported = {(r.var, r.index) for r in detector.races}
     out: List[Dict] = []
     for pair in HBOracle(trace).reportable_races():
@@ -789,29 +852,18 @@ def cmd_explain(args) -> int:
     """Replay a trace (or a seeded workload) and explain each race."""
     path, workload = _resolve_trace(args)
     trace = _load(path, args.format) if workload is None else _record(workload, args)
-    detector = DETECTORS[args.detector](backend=args.state_backend)
-    recorder = FlightRecorder(window=args.window)
     obs = RunObserver(
-        sample_every=_count(args, "sample_every"), recorder=recorder
+        sample_every=_count(args, "sample_every"),
+        recorder=FlightRecorder(window=_count(args, "window")),
     )
-    obs.attach(detector)
-    detector.run(trace)
-    obs.finalize(detector)
-    sync = SyncIndex.from_trace(trace)
+    detector, events, _, _ = _run(args, obs, trace=trace)
     discarded = None
     if args.detector == "pacer":
-        discarded = _pacer_discard_attribution(trace, detector, sync)
-    doc = build_report(
-        detector.races,
-        source="explain",
-        detector=detector.name,
-        backend=detector.backend_name,
-        rate=None,
-        events=len(trace),
-        contexts=obs.race_contexts,
-        sync=sync,
+        discarded = _pacer_discard_attribution(trace, detector)
+    doc = _report(
+        detector, obs, "explain", events,
         site_name=None if workload is None else describe_site,
-        discarded=discarded,
+        trace=trace, discarded=discarded,
     )
     writers = dict(
         report_out=lambda path: write_report(path, doc),
@@ -874,32 +926,10 @@ def cmd_coverage(args) -> int:
     document, ``--json`` prints it instead of the rendering.
     """
     path, workload = _resolve_trace(args)
-    detector = DETECTORS[args.detector](backend=args.state_backend)
+    trace = None if path is None else _load(path, args.format)
     obs = RunObserver(sample_every=DEFAULT_SAMPLE_EVERY)
-    rate = None
-    if workload is None:
-        if args.rate is not None:
-            raise _UsageError("--rate only applies to live workload runs")
-        trace = _load(path, args.format)
-        obs.attach(detector)
-        detector.run(trace)
-        obs.finalize(detector)
-        events = detector.perf.events
-    else:
-        runtime, rate = _live_run(
-            args, workload, detector, obs, default_rate=10.0
-        )
-        events = runtime.events
-    doc = build_coverage(
-        source="coverage",
-        detector=detector.name,
-        workload=workload,
-        nominal_rate=rate,
-        counters=detector.counters.snapshot(),
-        marks=obs.sampling_marks,
-        races=detector.races,
-        events=events,
-    )
+    detector, events, rate, _ = _run(args, obs, trace=trace, workload=workload)
+    doc = _coverage(detector, obs, "coverage", events, rate, workload)
     if args.json:
         _write_json(doc)
     else:
@@ -973,6 +1003,7 @@ def cmd_serve(args) -> int:
     import threading
 
     from .net import ServerConfig, TelemetryServer
+    from .net.http import parse_http_address
 
     config = ServerConfig(
         address=_address(args, "address"),
@@ -982,7 +1013,7 @@ def cmd_serve(args) -> int:
         max_sessions=_count(args, "max_sessions"),
         spool_dir=args.spool_dir,
         log_path=args.log_out,
-        http=args.http,
+        http=args.http and _address(args, "http", parse_http_address),
         spool_quota_bytes=args.spool_quota,
         memory_watermark_bytes=args.memory_watermark,
         slow_client_timeout=args.slow_client_timeout,
@@ -1073,7 +1104,7 @@ def cmd_stream(args) -> int:
     )
     try:
         client.connect()
-        client.send_events(list(trace.events))
+        client.send_events(list(trace))
     except (OSError, ProtocolError) as exc:
         return _server_failed(address, exc)
     summary = client.close()
@@ -1219,7 +1250,7 @@ def cmd_net_report(args) -> int:
                     f"shard {sess['shard']}  seq {sess['applied_seq']:<6} "
                     f"{sess['events']:>8} events  {sess['races']:>4} race(s)"
                 )
-        if not args.follow:
+        if not args.follow or _stdout_gone():
             return 0
         time.sleep(args.interval)
 
@@ -1250,7 +1281,7 @@ def cmd_top(args) -> int:
             else:  # pragma: no cover - interactive path
                 # clear screen + home, like watch(1)
                 print("\x1b[2J\x1b[H" + render_top(status), end="", flush=True)
-            if args.once:
+            if args.once or _stdout_gone():
                 return 0
             prev = status
             time.sleep(max(args.interval - (time.monotonic() - started), 0.05))
@@ -1314,7 +1345,7 @@ _FLAGS: Dict[str, Tuple[Tuple[str, ...], Dict]] = {
     "rate": (("--rate",), dict(
         type=float, default=None,
         help="PACER sampling rate in percent, live workload runs only "
-        "(profile and coverage default to 10 for pacer)",
+        f"(default {DEFAULT_RATE:g})",
     )),
     "limit": (("--limit",), dict(
         type=int, default=20, help="race table rows to print",
@@ -1686,8 +1717,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    stdout = sys.stdout = _Stdout(sys.stdout)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
@@ -1695,6 +1727,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _BadTrace as exc:
         print(exc, file=sys.stderr)
         return 3
+    finally:
+        stdout.flush()
+        real = sys.stdout = stdout.stream
+        if stdout.gone and real is not None and real is sys.__stdout__:
+            # the interpreter flushes stdout once more on exit: let that
+            # flush go to /dev/null instead of the closed pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, real.fileno())
+            os.close(devnull)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -224,7 +224,9 @@ class RunObserver:
         arrived — the telemetry server finalizes at every disconnect,
         then again after a session resumes — refreshes the totals
         instead of double-counting them.  Only a finalize that observes
-        new detector state emits another timeline probe.
+        new detector state emits another timeline probe, and none when
+        the timeline already ends at the final virtual time: that probe
+        saw the same detector state and set the same gauges.
         """
         final_vt = vt if vt is not None else max(self._final_vt, detector.perf.events)
         state = (final_vt, detector._events_seen, len(detector.races))
@@ -233,7 +235,8 @@ class RunObserver:
         self._finalized = True
         self._finalized_state = state
         self.final_races = list(detector.races)
-        self.probe(detector, final_vt)
+        if not self.timeline or self.timeline[-1]["vt"] != final_vt:
+            self.probe(detector, final_vt)
         reg = self.registry
         reg.count_many("ops", detector.counters.snapshot(), "op")
         # label the run with its state representation so space/throughput

@@ -423,6 +423,53 @@ def decode_binary_events(data: bytes) -> List[Event]:
 # when a fully clean vectorized decode agrees with the format's
 # sequential grammar.
 
+#: payload bytes the vectorized reader expands at a time.  Its per-byte
+#: temporaries (about 60 bytes per payload byte) then stay near 4 MB
+#: whatever the trace's length.  Expanding a whole 2.3 MB payload at
+#: once peaked about 100 MB higher, and about 20 MB of the freed heap
+#: stayed resident under whatever the process did next.
+_BLOCK_BYTES = 1 << 16
+
+
+def _varint_values(b, most: int):
+    """Every varint value in payload bytes ``b`` (a NumPy ``uint8`` array
+    ending on a varint's last byte), in order, decoded block by block
+    into one array of room ``most``.  None when a varint is longer than
+    5 bytes (values >= 2^35, or past the 64-bit limit: rare enough that
+    the scalar reader both decodes and errors them) or there are more
+    than ``most`` varints."""
+    import numpy as np
+
+    values = np.empty(most, dtype=np.int64)
+    lo, nb, at = 0, len(b), 0
+    while lo < nb:
+        # end the block on the last byte of the varint its cut falls in
+        hi = min(lo + _BLOCK_BYTES, nb)
+        last = np.flatnonzero((b[hi - 1:hi + 9] & 0x80) == 0)
+        if not len(last):
+            return None
+        hi += int(last[0])
+        block = b[lo:hi]
+        term = (block & 0x80) == 0
+        starts = np.empty(len(block), dtype=bool)
+        starts[0] = True
+        starts[1:] = term[:-1]
+        spos = np.flatnonzero(starts)
+        # k: each byte's position inside its varint
+        k = np.arange(len(block), dtype=np.int64) - spos[np.cumsum(starts) - 1]
+        if int(k.max()) > 4:
+            return None
+        vals = (block & 0x7F).astype(np.int64) << (7 * k)
+        cs = np.cumsum(vals)
+        n = len(spos)
+        if at + n > most:
+            return None
+        values[at:at + n] = cs[np.flatnonzero(term)] - cs[spos] + vals[spos]
+        at += n
+        lo = hi
+    return values[:at]
+
+
 def _columns_fallback(data):
     """Decode with the scalar record decoder (exact errors) into a batch."""
     return EventBatch.from_columns(*_decode_document(bytes(data)))
@@ -465,24 +512,12 @@ def loads_binary_columns(data):
         return _columns_fallback(data)
 
     b = np.frombuffer(view, dtype=np.uint8, count=end - pos, offset=pos)
-    term = (b & 0x80) == 0
-    if not term[-1]:  # payload ends mid-varint
+    if b[-1] & 0x80:  # payload ends mid-varint
         return _columns_fallback(data)
-    nb = len(b)
-    starts = np.empty(nb, dtype=bool)
-    starts[0] = True
-    starts[1:] = term[:-1]
-    gid = np.cumsum(starts) - 1  # varint index owning each byte
-    spos = np.flatnonzero(starts)
-    k = np.arange(nb, dtype=np.int64) - spos[gid]
-    if int(k.max()) > 4:
-        # values >= 2^35 (or varints longer than the 64-bit limit):
-        # rare enough that the scalar reader both decodes and errors them
+    # a record is at most 4 varints, and a varint at least 1 byte
+    V = _varint_values(b, min(4 * count, len(b)))
+    if V is None:
         return _columns_fallback(data)
-    vals = (b & 0x7F).astype(np.int64) << (7 * k)
-    cs = np.cumsum(vals)
-    tpos = np.flatnonzero(term)
-    V = cs[tpos] - cs[spos] + vals[spos]  # all varint values, in order
     M = len(V)
 
     # Recover record boundaries.  The grammar is sequential — a record
@@ -502,30 +537,30 @@ def loads_binary_columns(data):
     if n_records != count:
         return _columns_fallback(data)
 
-    if markers:
-        parts = []
-        prev = 0
-        for m in markers:
-            parts.append(np.arange(prev, m, 4, dtype=np.int64))
-            parts.append(np.array([m], dtype=np.int64))
-            prev = m + 1  # a marker record is exactly one varint
-        parts.append(np.arange(prev, M, 4, dtype=np.int64))
-        rs = np.concatenate(parts)
-    else:
-        rs = np.arange(0, M, 4, dtype=np.int64)
-
-    kinds = V[rs]
-    if int(kinds.max()) >= _N_KINDS:
-        return _columns_fallback(data)
-    ismk = (kinds == _SBEGIN_ID) | (kinds == _SEND_ID)
-    lim = M - 1
-    tids = np.where(ismk, -1, V[np.minimum(rs + 1, lim)] - 1)
-    targets = np.where(ismk, 0, V[np.minimum(rs + 2, lim)])
-    z = V[np.minimum(rs + 3, lim)]
-    sites = np.where(ismk, 0, (z >> 1) ^ -(z & 1))
-    return EventBatch.from_columns(
-        kinds.astype(np.uint8), tids, targets, sites
-    )
+    # the records between two markers are all four varints long: read
+    # each stretch's columns as strided views, into the output columns
+    kinds = np.empty(count, dtype=np.uint8)
+    tids = np.empty(count, dtype=np.int64)
+    targets = np.empty(count, dtype=np.int64)
+    sites = np.empty(count, dtype=np.int64)
+    r = prev = 0
+    for m in markers + [M]:
+        records = V[prev:m].reshape(-1, 4)
+        n = len(records)
+        if n:
+            if int(records[:, 0].max()) >= _N_KINDS:
+                return _columns_fallback(data)
+            kinds[r:r + n] = records[:, 0]
+            np.subtract(records[:, 1], 1, out=tids[r:r + n])
+            targets[r:r + n] = records[:, 2]
+            z = records[:, 3]  # zigzag-coded site
+            np.bitwise_xor(z >> 1, -(z & 1), out=sites[r:r + n])
+            r += n
+        if m < M:  # a marker record is exactly one varint
+            kinds[r], tids[r], targets[r], sites[r] = V[m], -1, 0, 0
+            r += 1
+        prev = m + 1
+    return EventBatch.from_columns(kinds, tids, targets, sites)
 
 
 def load_trace_columns(path: Union[str, Path]):

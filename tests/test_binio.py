@@ -247,6 +247,17 @@ class TestColumnReader:
         events = [wr(12345, 10**12, 2**40), rd(0, 1, -(2**40))]
         self._assert_same_decode(dumps_binary(events))
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
+    def test_any_block_size_decodes_the_same(self, block):
+        # the vectorized reader expands its payload block by block; a
+        # cut may fall inside any varint, marker or record
+        events = random_trace(seed=block, length=300,
+                              sampling_period_prob=0.05).events
+        events += [wr(12345, 2**20, -7), rd(8, 9, 2**34)]
+        with mock.patch.object(binio, "_BLOCK_BYTES", block):
+            self._assert_same_decode(dumps_binary(events))
+            self._assert_same_decode(dumps_binary([wr(0, 2**40, 1)]))
+
     def test_empty_trace(self):
         from repro.trace.binio import loads_binary_columns
 

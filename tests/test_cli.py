@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,6 +97,18 @@ class TestDetect:
         ) == 0
         assert "race reports" in capsys.readouterr().out
 
+    def test_pacer_samples_without_rate(self, tmp_path, capsys):
+        # a live PACER run samples at the default rate, as profile and
+        # coverage do; without sampling it could never report a race
+        coverage = tmp_path / "c.json"
+        assert main(
+            ["detect", "micro", "--seed", "3", "--coverage-out", str(coverage)]
+        ) == 0
+        assert "effective sampling rate" in capsys.readouterr().out
+        doc = json.loads(coverage.read_text())
+        assert doc["nominal_rate"] == 0.1
+        assert doc["periods"]["count"] > 0
+
 
 #: each count flag below 1, where the command reads it
 COUNT_FLAGS = [
@@ -108,6 +122,7 @@ COUNT_FLAGS = [
     (["explain", "{trace}", "--sample-every", "0"], "--sample-every"),
     (["detect", "micro", "--sample-every", "0"], "--sample-every"),
     (["profile", "micro", "--sample-every", "0"], "--sample-every"),
+    (["explain", "micro", "--window", "0"], "--window"),
 ]
 
 
@@ -136,6 +151,7 @@ ADDRESS_FLAGS = [
       "--listen", "127.0.0.1:0"], "--listen"),
     (["chaos-proxy", "--duration", "0.1", "--upstream", "127.0.0.1:9"],
      "--upstream"),
+    (["serve", "--duration", "0.5", "--http", "bogus:xx"], "--http"),
 ]
 
 
@@ -151,6 +167,58 @@ def test_malformed_address_is_a_usage_error(argv, flag, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"{flag}: ")
     assert captured.err.count("\n") == 1
+
+
+class _GoneAfterFirstWrite:
+    """A stdout whose reader goes away after the first write."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+#: commands that print before they write their artifacts
+CLOSED_STDOUT_RUNS = {
+    "analyze": ["analyze", "{trace}", "--batch", "--detector", "pacer",
+                "--metrics-out", "{out}/m.json", "--coverage-out", "{out}/c.json"],
+    "detect": ["detect", "micro", "--seed", "1", "--detector", "pacer",
+               "--rate", "25", "--report-out", "{out}/r.json",
+               "--metrics-out", "{out}/m2.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLOSED_STDOUT_RUNS))
+def test_closed_stdout_keeps_the_work(command, tmp_path, monkeypatch, capsys):
+    # a closed stdout drops the command's text, not its exit code or
+    # its artifacts, which match those of a run that printed everything;
+    # None is the stdout of a process started with fd 1 closed
+    trace = tmp_path / "t.pacr"
+    assert main(["record", "micro", str(trace), "--seed", "1",
+                 "--format", "binary"]) == 0
+    stdouts = {"printed": sys.stdout, "closed": _GoneAfterFirstWrite(),
+               "none": None}
+    files = {}
+    for name, stdout in stdouts.items():
+        out = tmp_path / name
+        out.mkdir()
+        argv = [a.format(trace=trace, out=out)
+                for a in CLOSED_STDOUT_RUNS[command]]
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert sys.stdout is stdout
+        files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(files["printed"]) == 2
+    assert files["closed"] == files["printed"] == files["none"]
+    assert capsys.readouterr().err == ""
 
 
 class TestConvert:

@@ -5,11 +5,15 @@ Both net subcommands run in-process against an inline
 including a session whose close never completes, and ``report``'s
 output modes and artifact flags, checked against the server's own
 status document.  A server that cannot be reached or refuses the
-session ends ``stream``, ``report`` and ``top`` with one stderr line.
+session ends ``stream``, ``report`` and ``top`` with one stderr line,
+and ``report --follow`` and ``top`` stop polling once stdout's reader
+has gone.
 """
 
 import json
 import socket
+import sys
+import time
 
 import pytest
 
@@ -155,3 +159,24 @@ def test_stream_refused_session_name_is_one_line(server, trace_file, capsys):
     after = server.session_doc("taken")
     assert after["events"] == before["events"] == len(TRACE)
     assert after["report"] == before["report"]
+
+
+class _ReaderGone:
+    """A stdout whose reader has already gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["report", "--follow"], ["top"]],
+                         ids=["report", "top"])
+def test_polling_stops_once_the_reader_has_gone(argv, server, monkeypatch):
+    def second_poll(seconds):
+        raise AssertionError("polled again after stdout's reader had gone")
+
+    monkeypatch.setattr(sys, "stdout", _ReaderGone())
+    monkeypatch.setattr(time, "sleep", second_poll)
+    assert main([*argv, "--address", server.address]) == 0

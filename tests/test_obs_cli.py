@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.obs import validate_chrome_trace
 from repro.obs.reports import validate_report
+from repro.trace.binio import dump_trace_binary
 from repro.trace.events import fork, wr
 from repro.trace.textio import dump_trace
 
@@ -106,6 +107,23 @@ class TestAnalyzeJson:
         ) == 0
         assert json.loads(metrics.read_text())["counters"]["events"] == 3
         assert validate_chrome_trace(json.loads(trace_out.read_text())) == []
+
+
+@pytest.mark.parametrize("dispatch", [[], ["--batch"]], ids=["scalar", "batch"])
+def test_timeline_ends_with_one_row_at_final_vt(dispatch, tmp_path):
+    # 3 x 4096 events: the last cadence probe falls on the final vt, and
+    # a binary trace is one batch, so finalize must not probe again
+    path = tmp_path / "t.pacr"
+    dump_trace_binary(
+        [fork(0, 1)] + [wr(i % 2, i % 7, i % 5) for i in range(3 * 4096 - 1)],
+        path,
+    )
+    timeline = tmp_path / "timeline.jsonl"
+    assert main(["analyze", str(path), "--timeline-out", str(timeline),
+                 *dispatch]) == 0
+    vts = [json.loads(line)["vt"] for line in timeline.read_text().splitlines()]
+    assert vts[-1] == 3 * 4096
+    assert vts == sorted(set(vts))
 
 
 class TestDetectObs:

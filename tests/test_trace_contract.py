@@ -268,9 +268,9 @@ def test_earliest_violation_wins(events, index, rule):
 
 
 def _column_verdict(path: Path) -> Optional[str]:
-    """The CLI's ``--batch`` path: column decode, then the check."""
+    """The CLI's binary-trace path: column decode, then the check."""
     try:
-        _load(path, "binary", columns=True)
+        _load(path, "binary")
     except _BadTrace as exc:
         prefix = f"cannot use trace {path}: "
         assert str(exc).startswith(prefix)
@@ -425,7 +425,7 @@ def test_verify_trace_checks_feasibility_only_under_validate(fmt, tmp_path, caps
 def test_checked_batch_holds_list_columns(tmp_path):
     path = tmp_path / "t.pacr"
     dump_trace_binary([fork(0, 1), wr(1, 3, 1)], path)
-    batch = _load(path, "auto", columns=True)
+    batch = _load(path, "auto")
     assert all(type(c) is list for c in
                (batch.kinds, batch.tids, batch.targets, batch.sites))
     assert batch.to_events() == load_trace_columns(path).to_events()
