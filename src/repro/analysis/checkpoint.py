@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -110,12 +111,7 @@ def stats_to_doc(stats: CoreStats) -> Dict[str, object]:
         "distinct_keys": [_sig_to_list(key) for key in stats.distinct_keys],
         "effective_rate": stats.effective_rate,
         "counters": dict(stats.counters),
-        "perf": {
-            "events": stats.perf.events,
-            "elapsed_ns": stats.perf.elapsed_ns,
-            "batches": stats.perf.batches,
-            "max_batch": stats.perf.max_batch,
-        },
+        "perf": asdict(stats.perf),
         "metrics": dict(stats.metrics),
     }
 
@@ -139,12 +135,9 @@ def stats_from_doc(doc: Dict[str, object]) -> CoreStats:
         distinct_keys=tuple(_sig_from_list(key) for key in doc["distinct_keys"]),
         effective_rate=doc["effective_rate"],
         counters=dict(doc["counters"]),
-        perf=PerfCounters(
-            events=perf_doc.get("events", 0),
-            elapsed_ns=perf_doc.get("elapsed_ns", 0),
-            batches=perf_doc.get("batches", 0),
-            max_batch=perf_doc.get("max_batch", 0),
-        ),
+        perf=PerfCounters(**{
+            f.name: perf_doc.get(f.name, 0) for f in fields(PerfCounters)
+        }),
         metrics=dict(doc.get("metrics") or {}),
     )
 

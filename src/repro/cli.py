@@ -506,6 +506,10 @@ def _perf_dict(perf) -> Dict:
         "max_batch": perf.max_batch,
         "events_per_sec": round(perf.events_per_sec, 1),
         "ns_per_event": round(perf.ns_per_event, 1),
+        "bulk_runs": perf.bulk_runs,
+        "live_runs": perf.live_runs,
+        "tracked_accesses": perf.tracked_accesses,
+        "tracked_changes": perf.tracked_changes,
     }
 
 

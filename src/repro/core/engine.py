@@ -9,9 +9,11 @@ path with whole columns:
 * FASTTRACK (Algorithms 7/8): :func:`fasttrack_kernel`, which also runs
   every access PACER samples — while sampling PACER *is* FASTTRACK;
 * PACER outside sampling periods (Algorithms 12/13):
-  :func:`pacer_access_packed`, which the run-bulking loop
-  :func:`pacer_kernel` calls for every non-sampling access it cannot
-  retire in bulk.
+  :func:`pacer_tracked`, one loop over the tracked accesses of one
+  access run.  The run-bulking loop :func:`pacer_kernel` retires every
+  run that touches no tracked variable in bulk and hands each other run
+  to it through a C-level filter; the packed scalar handlers hand it a
+  single access.
 
 Both kernels hand synchronization and period events to the detector's
 one switch, :meth:`~repro.detectors.base.Detector._sync`.
@@ -35,8 +37,8 @@ from .clocks import TID_BITS, TID_MASK
 
 __all__ = [
     "fasttrack_kernel",
-    "pacer_access_packed",
     "pacer_kernel",
+    "pacer_tracked",
 ]
 
 
@@ -177,90 +179,124 @@ def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
     counters.words_allocated += words
 
 
-def pacer_access_packed(det, k, tid, var, site, index):
-    """One non-sampling PACER access (Algorithm 12 if ``k == 0``, else 13)
-    over packed arrays — the transcription behind the packed scalar
-    handlers outside sampling periods and every tracked access of a live
-    run in :func:`pacer_kernel`.
+def pacer_tracked(det, kinds, tids, targets, sites, seen0, hits):
+    """Algorithms 12/13 over the tracked accesses of one non-sampling
+    access run, on packed arrays — the one transcription of PACER's
+    non-sampling rules on the packed backend.
 
-    A variable with no metadata takes the inlined fast path.  Otherwise
-    the race checks run against the frozen clocks and the Table 4
-    discard rules apply, releasing the variable's arena slot once its
-    metadata is fully null.  Sampled accesses never come here: they are
-    FASTTRACK's and run :func:`fasttrack_kernel`.
+    ``hits`` yields column indices in trace order; event ``i`` is the
+    trace's event ``seen0 + i``.  Each access it yields must be to a
+    variable that is tracked when the loop reaches it: the packed scalar
+    handlers pass a single index after their fast-path test, and
+    :func:`pacer_kernel` a lazy filter of one run's targets, which tests
+    each target only after the loop has handled every earlier one, so a
+    variable released earlier in the run is not handed over.  A no-op
+    event (``m_enter``/``m_exit``/``alloc``) whose target collides with
+    a tracked id is skipped by its kind.
+
+    The race checks run against the frozen clocks and the Table 4
+    discard rules apply, releasing a slot once its metadata is fully
+    null.  A run holds no synchronization or period event, so no clock
+    changes inside it: each thread's clock and packed own epoch are
+    looked up once per call.  The cases that change nothing come first;
+    the thread's own write epoch can never race.  Sampled accesses never
+    come here: they are FASTTRACK's and run :func:`fasttrack_kernel`.
     """
     arena = det._arena
-    slot = arena.index.get(var)
-    counters = det.counters
-    if slot is None:  # inlined fast path
-        if k:
-            counters.writes_fast_nonsampling += 1
-        else:
-            counters.reads_fast_nonsampling += 1
-        return
-    if k:
-        counters.writes_slow_nonsampling += 1
-    else:
-        counters.reads_slow_nonsampling += 1
-    c = det._thread_meta(tid).clock._c
-    own = c[tid] if tid < len(c) else 0
-    packed_own = (own << TID_BITS) | tid
-    wep, rep = arena.wep, arena.rep
+    index = arena.index
+    release = arena.release
+    wep, wsite, windex = arena.wep, arena.wsite, arena.windex
+    rep, rsite, rindex = arena.rep, arena.rsite, arena.rindex
     rshared = arena.rshared
+    clock_of = det._clock_of
     races_append = det.races.append
-    w = wep[slot]
-    r = rep[slot]
-    if w:
-        wt = w & TID_MASK
-        wc = w >> TID_BITS
-        if wc > (c[wt] if wt < len(c) else 0):
-            races_append(
-                Race(var, WRITE_WRITE if k else WRITE_READ, wt, wc,
-                     arena.wsite[slot], tid, site, index, arena.windex[slot])
-            )
-    if k == 0:  # rd (Algorithm 12)
-        if r:
-            if r != READ_SHARED:
-                # Table 4 Rule 2: discard a read epoch FASTTRACK would
-                # have overwritten; same-epoch (Rule 1) and concurrent
-                # (Rule 4) reads are kept.
-                rt = r & TID_MASK
-                if r != packed_own and (
-                    (r >> TID_BITS) <= (c[rt] if rt < len(c) else 0)
-                ):
-                    rep[slot] = 0
-            else:  # Rule 3: drop only t's entry, never deflate
+    discard = det.discard_metadata
+    reads = 0
+    writes = 0
+    changed = 0
+    cache = {}  # tid -> (components, packed own epoch)
+    cache_get = cache.get
+    for idx in hits:
+        k = kinds[idx]
+        if k > 1:
+            continue  # a no-op event whose target is a tracked id
+        var = targets[idx]
+        slot = index[var]
+        tid = tids[idx]
+        entry = cache_get(tid)
+        if entry is None:
+            c = clock_of(tid)._c
+            own = c[tid] if tid < len(c) else 0
+            entry = (c, (own << TID_BITS) | tid)
+            cache[tid] = entry
+        c, packed_own = entry
+        w = wep[slot]
+        if w and w != packed_own:
+            wt = w & TID_MASK
+            wc = w >> TID_BITS
+            if wc > (c[wt] if wt < len(c) else 0):
+                races_append(
+                    Race(var, WRITE_WRITE if k else WRITE_READ, wt, wc,
+                         wsite[slot], tid, sites[idx], seen0 + idx,
+                         windex[slot])
+                )
+        r = rep[slot]
+        if k == 0:  # rd (Algorithm 12)
+            reads += 1
+            if r == packed_own:
+                continue  # Table 4 Rule 1: keep a same-epoch read
+            if r == READ_SHARED:  # Rule 3: drop only t's entry, never deflate
                 shared = rshared[slot]
-                shared.pop(tid, None)
-                if not shared:
-                    rep[slot] = 0
-                    del rshared[slot]
-        if det.discard_metadata and w == 0 and rep[slot] == 0:
-            arena.release(var, slot)
-        return
-    # wr (Algorithm 13)
-    if r:
-        if r != READ_SHARED:
+                if tid not in shared:
+                    continue
+                changed += 1
+                del shared[tid]
+                if shared:
+                    continue
+                del rshared[slot]
+            elif r:
+                rt = r & TID_MASK
+                if (r >> TID_BITS) > (c[rt] if rt < len(c) else 0):
+                    continue  # Rule 4: keep a concurrent read
+                changed += 1  # Rule 2: discard what FASTTRACK overwrites
+            else:
+                continue  # no read metadata to discard
+            rep[slot] = 0
+            if w == 0 and discard:
+                release(var, slot)
+            continue
+        writes += 1  # wr (Algorithm 13)
+        if r == READ_SHARED:
+            for u, (rc, rs, ri) in rshared[slot].items():
+                if rc > (c[u] if u < len(c) else 0):
+                    races_append(
+                        Race(var, READ_WRITE, u, rc, rs,
+                             tid, sites[idx], seen0 + idx, ri)
+                    )
+        elif r:
             rt = r & TID_MASK
             rc = r >> TID_BITS
             if rc > (c[rt] if rt < len(c) else 0):
                 races_append(
-                    Race(var, READ_WRITE, rt, rc, arena.rsite[slot],
-                         tid, site, index, arena.rindex[slot])
+                    Race(var, READ_WRITE, rt, rc, rsite[slot],
+                         tid, sites[idx], seen0 + idx, rindex[slot])
                 )
-        else:
-            for u, (rc, rs, ri) in rshared[slot].items():
-                if rc > (c[u] if u < len(c) else 0):
-                    races_append(
-                        Race(var, READ_WRITE, u, rc, rs, tid, site, index, ri)
-                    )
-    if w == packed_own:
-        return  # same epoch: keep the sampled metadata
-    wep[slot] = 0  # discard write epoch and read map
-    rep[slot] = 0
-    rshared.pop(slot, None)
-    if det.discard_metadata:
-        arena.release(var, slot)
+        if w == packed_own:
+            continue  # same epoch: keep the sampled metadata
+        if not (w or r):
+            continue  # null metadata, kept tracked only by the ablation
+        changed += 1
+        wep[slot] = 0  # discard write epoch and read map
+        rep[slot] = 0
+        rshared.pop(slot, None)
+        if discard:
+            release(var, slot)
+    counters = det.counters
+    counters.reads_slow_nonsampling += reads
+    counters.writes_slow_nonsampling += writes
+    perf = det.perf
+    perf.tracked_accesses += reads + writes
+    perf.tracked_changes += changed
 
 
 def pacer_kernel(det, kinds, tids, targets, sites, seen0):
@@ -269,27 +305,34 @@ def pacer_kernel(det, kinds, tids, targets, sites, seen0):
     Maximal access runs are found with byte-mask scans over the kind
     column.  A sampling run is FASTTRACK's, and goes to
     :func:`fasttrack_kernel` whole.  A non-sampling run disjoint from
-    tracked variables is retired in bulk; in any other non-sampling run
-    only the accesses to tracked variables pay a
-    :func:`pacer_access_packed` call.  No metadata can appear outside
-    sampling (nothing allocates without an existing entry), so the
-    run-entry probe stays valid for the whole run.
+    the tracked variables is retired in bulk.  Any other non-sampling
+    run hands :func:`pacer_tracked` a C-level filter of its tracked
+    targets, so the untracked majority of a live run is never walked in
+    Python.  No metadata can appear outside sampling (nothing allocates
+    without an existing entry), so the filter's targets are the only
+    ones the Algorithm 12/13 rules can act on.  The fast-path counts are
+    taken once per batch: every access neither kernel counted as slow.
     """
     n = len(kinds)
-    kind_bytes = bytes(kinds)
+    kind_bytes = bytearray(kinds)  # builds from a list faster than bytes
     mask = kind_bytes.translate(RUN_MASK_TABLE)
-    access01 = kind_bytes.translate(ACCESS01_TABLE)
     find_break = mask.find
-    count_kind = mask.count  # runs: byte 0 = read, 1 = write, 3 = no-op
     arena = det._arena
     tracked = arena.index
     tracked_disjoint = tracked.keys().isdisjoint
+    is_tracked = tracked.__contains__
     counters = det.counters
+    slow_reads_before = (
+        counters.reads_slow_sampling + counters.reads_slow_nonsampling
+    )
+    slow_writes_before = (
+        counters.writes_slow_sampling + counters.writes_slow_nonsampling
+    )
+    bulk_runs = 0
+    live_runs = 0
     sampling = det.sampling
-    reads_fast = 0
-    writes_fast = 0
     compress = _compress
-    det._threads.update(compress(tids, access01))
+    det._threads.update(compress(tids, kind_bytes.translate(ACCESS01_TABLE)))
     i = 0
     while i < n:
         k = kinds[i]
@@ -302,37 +345,16 @@ def pacer_kernel(det, kinds, tids, targets, sites, seen0):
                     det, kinds[i:j], tids[i:j], targets[i:j], sites[i:j],
                     seen0 + i,
                 )
-                i = j
-                continue
-            w = count_kind(1, i, j)
-            r = count_kind(0, i, j)
-            pure = w + r == j - i  # no riding no-op events in the run
-            if not tracked or tracked_disjoint(
-                targets[i:j]
-                if pure
-                else compress(targets[i:j], access01[i:j])
-            ):
-                # Algorithm 12/13 fast path, retired in bulk
-                writes_fast += w
-                reads_fast += r
-                i = j
-                continue
-            # live run: most targets still miss the arena, so the
-            # Algorithm 12/13 fast path stays inline and only tracked
-            # variables pay the per-event call
-            for idx in range(i, j):
-                k2 = kinds[idx]
-                if k2 > 1:
-                    continue  # m_enter / m_exit / alloc: no-ops
-                if targets[idx] not in tracked:
-                    if k2:
-                        writes_fast += 1
-                    else:
-                        reads_fast += 1
-                    continue
-                pacer_access_packed(
-                    det, k2, tids[idx], targets[idx], sites[idx], seen0 + idx
-                )
+            else:
+                run = targets[i:j]
+                if not tracked or tracked_disjoint(run):
+                    bulk_runs += 1  # Algorithm 12/13 fast path, in bulk
+                else:
+                    live_runs += 1
+                    pacer_tracked(
+                        det, kinds, tids, targets, sites, seen0,
+                        compress(range(i, j), map(is_tracked, run)),
+                    )
             i = j
             continue
         det._events_seen = seen0 + i + 1
@@ -340,5 +362,16 @@ def pacer_kernel(det, kinds, tids, targets, sites, seen0):
         sampling = det.sampling
         i += 1
     det._events_seen = seen0 + n
-    counters.reads_fast_nonsampling += reads_fast
-    counters.writes_fast_nonsampling += writes_fast
+    # every access of the batch that neither kernel counted as slow took
+    # the Algorithm 12/13 fast path
+    counters.reads_fast_nonsampling += mask.count(0) - (
+        counters.reads_slow_sampling + counters.reads_slow_nonsampling
+        - slow_reads_before
+    )
+    counters.writes_fast_nonsampling += mask.count(1) - (
+        counters.writes_slow_sampling + counters.writes_slow_nonsampling
+        - slow_writes_before
+    )
+    perf = det.perf
+    perf.bulk_runs += bulk_runs
+    perf.live_runs += live_runs

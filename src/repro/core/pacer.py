@@ -45,11 +45,16 @@ from ..detectors.fasttrack import (
 from ..trace.batch import EventBatch
 from .backend import PackedVarStore
 from .clocks import Epoch, TID_BITS, TID_MASK
-from .engine import pacer_access_packed, pacer_kernel
+from .engine import pacer_kernel, pacer_tracked
 from .metadata import SyncMeta, ThreadMeta, VarState, footprint_words
 from .versioning import VE_BOTTOM, VE_TOP, SharableClock
 
 __all__ = ["PacerDetector"]
+
+#: singleton columns for the scalar-through-loop packed path
+_RD = (0,)
+_WR = (1,)
+_FIRST = (0,)
 
 
 class PacerDetector(Detector):
@@ -315,14 +320,17 @@ class PacerDetector(Detector):
         every access hits the inlined "no metadata, not sampling" check
         (Algorithms 12/13, first line).  On the packed backend
         :func:`~repro.core.engine.pacer_kernel` takes that to its
-        columnar conclusion, retiring whole non-sampling access runs that
-        touch no tracked variable in bulk.  The object backend, and
-        subclasses that hook the method events, take the generic batch
-        loop over the scalar handlers.
+        columnar conclusion: it retires whole non-sampling access runs
+        that touch no tracked variable in bulk, and walks only the
+        tracked accesses of the others.  The object backend, and
+        subclasses that hook accesses or method events, take the generic
+        batch loop over the scalar handlers.
         """
         cls = type(self)
         if (
             self._arena is None
+            or cls.read is not PacerDetector.read
+            or cls.write is not PacerDetector.write
             or cls.method_enter is not Detector.method_enter
             or cls.method_exit is not Detector.method_exit
         ):
@@ -338,7 +346,11 @@ class PacerDetector(Detector):
             fasttrack_read(self, tid, var, site)  # exactly FASTTRACK (Algorithm 7)
             return
         if self._arena is not None:
-            pacer_access_packed(self, 0, tid, var, site, self._events_seen - 1)
+            if var in self._arena.index:
+                pacer_tracked(self, _RD, (tid,), (var,), (site,),
+                              self._events_seen - 1, _FIRST)
+            else:
+                self.counters.reads_fast_nonsampling += 1  # inlined fast path
             return
         state = self._vars.get(var)
         if state is None:
@@ -367,7 +379,11 @@ class PacerDetector(Detector):
             fasttrack_write(self, tid, var, site)  # exactly FASTTRACK (Algorithm 8)
             return
         if self._arena is not None:
-            pacer_access_packed(self, 1, tid, var, site, self._events_seen - 1)
+            if var in self._arena.index:
+                pacer_tracked(self, _WR, (tid,), (var,), (site,),
+                              self._events_seen - 1, _FIRST)
+            else:
+                self.counters.writes_fast_nonsampling += 1  # inlined fast path
             return
         state = self._vars.get(var)
         if state is None:

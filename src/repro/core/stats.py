@@ -105,12 +105,26 @@ class PerfCounters:
     by the parallel experiment runner), so speedups are *observed*, not
     asserted: the CLI and benchmarks print events/sec and ns/event
     straight from these.
+
+    The access-path counts say where PACER's non-sampling work goes on
+    the packed backend.  Like the Table 3 counters they are
+    deterministic, but the run counts depend on how events are batched
+    (scalar dispatch has no runs), so they live here and stay out of
+    the compared counters and the metrics registry.
     """
 
     events: int = 0
     elapsed_ns: int = 0
     batches: int = 0
     max_batch: int = 0
+    #: non-sampling access runs ``pacer_kernel`` retired in bulk
+    bulk_runs: int = 0
+    #: non-sampling access runs that touch a tracked variable
+    live_runs: int = 0
+    #: non-sampling accesses handed to the Algorithm 12/13 loop
+    tracked_accesses: int = 0
+    #: of those, the ones that discarded metadata or released a slot
+    tracked_changes: int = 0
 
     @property
     def events_per_sec(self) -> float:
@@ -136,6 +150,10 @@ class PerfCounters:
         self.elapsed_ns += other.elapsed_ns
         self.batches += other.batches
         self.max_batch = max(self.max_batch, other.max_batch)
+        self.bulk_runs += other.bulk_runs
+        self.live_runs += other.live_runs
+        self.tracked_accesses += other.tracked_accesses
+        self.tracked_changes += other.tracked_changes
 
     def summary(self) -> str:
         """One-line human summary (CLI output)."""

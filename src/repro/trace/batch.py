@@ -43,15 +43,15 @@ DEFAULT_BATCH_SIZE = 4096
 
 #: kind-id byte -> run-mask byte, for ``bytes.translate`` run scans over
 #: a batch's kind column.  Reads/writes keep their own ids (0/1) so one
-#: translated mask drives both run-splitting and bulk read/write counting
-#: (``count(0/1, i, j)``).  ``m_enter``/``m_exit``/``alloc`` (ids 10-12)
-#: are analysis no-ops for the run-bulked loops, so they ride along
-#: inside runs as byte 3; only synchronization actions and period
+#: translated mask drives both run-splitting and bulk read/write
+#: counting (``count(0)``/``count(1)``).  ``m_enter``/``m_exit``/``alloc``
+#: (ids 10-12) are analysis no-ops for the run-bulked loops, so they ride
+#: along inside runs as byte 3; only synchronization actions and period
 #: boundaries (byte 2) break a run (``find(2, i)``).
 RUN_MASK_TABLE = bytes(b if b <= 1 else (3 if b >= 10 else 2) for b in range(256))
 
-#: kind-id byte -> 1 for accesses, 0 otherwise; selector for bulk
-#: thread-set updates over runs that contain riding no-op events.
+#: kind-id byte -> 1 for accesses, 0 otherwise; selector for a batch's
+#: bulk thread-set update.
 ACCESS01_TABLE = bytes(1 if b <= 1 else 0 for b in range(256))
 
 

@@ -65,6 +65,7 @@ class TestStatsRoundTrip:
             assert again.counters == stats.counters
             assert again.metrics == stats.metrics
             assert again.effective_rate == stats.effective_rate
+            assert again.perf == stats.perf
 
     def test_string_sites_survive(self, clean_results):
         """Live-monitor sites are file:line strings; tuples restore."""

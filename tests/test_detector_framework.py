@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.backend import BACKENDS
+from repro.core.pacer import PacerDetector
 from repro.detectors import FastTrackDetector, NullDetector
 from repro.detectors.base import Race, distinct_races
 from repro.trace import events as ev
@@ -94,3 +96,39 @@ class TestDispatch:
 
         with pytest.raises(NotImplementedError):
             Detector().read(0, 1)
+
+
+#: four accesses among nine events, two of them sampled by PACER
+HOOKED_TRACE = [
+    ev.fork(0, 1), ev.sbegin(), ev.wr(0, 1), ev.send(), ev.acq(1, 9),
+    ev.rd(1, 1), ev.rel(1, 9), ev.wr(1, 2), ev.rd(0, 2),
+]
+
+
+@pytest.mark.parametrize("mode", ["run", "run_batch"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("base", [FastTrackDetector, PacerDetector])
+def test_subclass_access_hooks_see_every_access(base, backend, mode):
+    """A subclass that overrides ``read``/``write`` sees every access in
+    every dispatch mode: the packed batch kernels step aside for it."""
+
+    class Counting(base):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.hooked = 0
+
+        def read(self, tid, var, site=0):
+            self.hooked += 1
+            super().read(tid, var, site)
+
+        def write(self, tid, var, site=0):
+            self.hooked += 1
+            super().write(tid, var, site)
+
+    det = Counting(backend=backend)
+    getattr(det, mode)(list(HOOKED_TRACE))
+    assert det.hooked == 4
+    plain = base(backend=backend)
+    getattr(plain, mode)(list(HOOKED_TRACE))
+    assert det.counters.snapshot() == plain.counters.snapshot()
+    assert [r.sig for r in det.races] == [r.sig for r in plain.races]
