@@ -53,10 +53,11 @@ README tabulates which command takes which.  The single-run commands
 (``analyze``, ``explain``, ``detect``, ``profile``, ``coverage``) share
 one pipeline: :func:`_load` reads a trace, :func:`_run` runs the
 detector over it or over a live workload, and :func:`_report` and
-:func:`_coverage` document the run.  Trace file formats are
-auto-detected (binary traces start with the ``PACR`` magic); ``--format``
-forces one, and every command reads binary traces through the mmap
-column reader.
+:func:`_coverage` document the run.  A trace file is binary when it
+starts with the ``PACR`` magic and text otherwise; every command reads
+binary traces through the column reader of :mod:`repro.trace.binio`,
+and only ``record`` and ``convert`` take ``--format``, to choose what
+they write.
 """
 
 from __future__ import annotations
@@ -208,23 +209,21 @@ def _server_failed(address: str, exc: Exception) -> int:
     return 1
 
 
-def _load(path: Path, fmt: str):
-    """Read a trace file and check its feasibility; ``fmt="auto"`` sniffs
-    the first four bytes.
+def _load(path: Path):
+    """Read a trace file and check its feasibility.
 
-    A binary trace is mapped straight into an
-    :class:`~repro.trace.batch.EventBatch` (zero-copy mmap decode), a
-    text trace is parsed into a :class:`Trace`; both iterate as events.
-    Raises :class:`_BadTrace`.
+    A file that starts with the ``PACR`` magic is a binary trace, decoded
+    into an :class:`~repro.trace.batch.EventBatch` of list columns; any
+    other file is a text trace (whose first token is an event kind, a
+    ``#`` or blank, never the magic), parsed into a :class:`Trace`.
+    Both iterate as events.  Raises :class:`_BadTrace`.
     """
     try:
-        if fmt == "auto":
-            with open(path, "rb") as fh:
-                fmt = "binary" if fh.read(4) == MAGIC else "text"
-        if fmt != "binary":
+        with open(path, "rb") as fh:
+            binary = fh.read(4) == MAGIC
+        if not binary:
             return load_trace(path)
         batch = load_trace_columns(path)
-        # to_list_columns caches the lists the kernels then replay
         FeasibilityChecker().check(0, *batch.to_list_columns())
         return batch
     except (OSError, TraceFormatError, TraceError) as exc:
@@ -407,20 +406,17 @@ def _make_observer(args, always: bool = False) -> Optional[RunObserver]:
 
 def _report(
     detector: Detector, obs: RunObserver, source: str, events: int,
-    rate: Optional[float] = None, site_name=None, trace=None,
-    discarded: Optional[List[Dict]] = None,
+    rate: Optional[float] = None, site_name=None,
+    sync: Optional[SyncIndex] = None, discarded: Optional[List[Dict]] = None,
 ) -> Dict:
     """The race report of one observed run.
 
-    Witnesses come from the exact sync index of ``trace`` when the whole
-    trace is in memory, else from the flight recorder's bounded window.
+    Witnesses come from ``sync``, the exact sync index of the trace when
+    the whole trace is in memory, else from the flight recorder's
+    bounded window.
     """
-    if trace is not None:
-        sync = SyncIndex.from_trace(trace)
-    elif obs.recorder is not None:
+    if sync is None and obs.recorder is not None:
         sync = SyncIndex.from_recorder(obs.recorder)
-    else:
-        sync = None
     return build_report(
         detector.races,
         source=source,
@@ -473,7 +469,8 @@ def _write_run_artifacts(
     _write_artifacts(
         args, quiet=quiet,
         report_out=lambda path: write_report(path, _report(
-            detector, obs, source, events, rate, site_name, trace
+            detector, obs, source, events, rate, site_name,
+            None if trace is None else SyncIndex.from_trace(trace),
         )),
         coverage_out=lambda path: write_coverage(path, _coverage(
             detector, obs, source, events, rate, workload
@@ -538,7 +535,7 @@ def cmd_record(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    trace = _load(Path(args.trace), args.format)
+    trace = _load(Path(args.trace))
     obs = _make_observer(args)
     detector, events, _, _ = _run(args, obs, trace=trace)
     if args.json:
@@ -565,7 +562,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    trace = _load(Path(args.trace), args.format)
+    trace = _load(Path(args.trace))
     oracle = HBOracle(trace)
     races = oracle.all_races()
     print(
@@ -806,16 +803,17 @@ def _write_matrix_metrics(path: Path, merged) -> None:
     _write_json({"command": "matrix", "cells": cells}, path)
 
 
-def _pacer_discard_attribution(trace, detector, cap: int = 50) -> List[Dict]:
+def _pacer_discard_attribution(
+    trace, detector, sync: SyncIndex, cap: int = 50
+) -> List[Dict]:
     """Why each unreported shortest race was discarded (PACER only).
 
     Compares the happens-before oracle's *reportable* races — the pairs a
     precise always-on detector reports — against PACER's actual reports.
     PACER's guarantee is that a race is reported iff its first access
     falls in a sampling period; the attribution names the period (or its
-    absence) for every miss.
+    absence) for every miss.  ``sync`` is the trace's exact sync index.
     """
-    sync = SyncIndex.from_trace(trace)
     reported = {(r.var, r.index) for r in detector.races}
     out: List[Dict] = []
     for pair in HBOracle(trace).reportable_races():
@@ -855,19 +853,20 @@ def _pacer_discard_attribution(trace, detector, cap: int = 50) -> List[Dict]:
 def cmd_explain(args) -> int:
     """Replay a trace (or a seeded workload) and explain each race."""
     path, workload = _resolve_trace(args)
-    trace = _load(path, args.format) if workload is None else _record(workload, args)
+    trace = _load(path) if workload is None else _record(workload, args)
     obs = RunObserver(
         sample_every=_count(args, "sample_every"),
         recorder=FlightRecorder(window=_count(args, "window")),
     )
     detector, events, _, _ = _run(args, obs, trace=trace)
+    sync = SyncIndex.from_trace(trace)
     discarded = None
     if args.detector == "pacer":
-        discarded = _pacer_discard_attribution(trace, detector)
+        discarded = _pacer_discard_attribution(trace, detector, sync)
     doc = _report(
         detector, obs, "explain", events,
         site_name=None if workload is None else describe_site,
-        trace=trace, discarded=discarded,
+        sync=sync, discarded=discarded,
     )
     writers = dict(
         report_out=lambda path: write_report(path, doc),
@@ -930,7 +929,7 @@ def cmd_coverage(args) -> int:
     document, ``--json`` prints it instead of the rendering.
     """
     path, workload = _resolve_trace(args)
-    trace = None if path is None else _load(path, args.format)
+    trace = None if path is None else _load(path)
     obs = RunObserver(sample_every=DEFAULT_SAMPLE_EVERY)
     detector, events, rate, _ = _run(args, obs, trace=trace, workload=workload)
     doc = _coverage(detector, obs, "coverage", events, rate, workload)
@@ -943,7 +942,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    trace = _load(Path(args.input), "auto")
+    trace = _load(Path(args.input))
     _dump(trace, Path(args.output), args.format)
     print(f"converted {len(trace)} events -> {args.output}")
     return 0
@@ -952,8 +951,8 @@ def cmd_convert(args) -> int:
 def cmd_verify_trace(args) -> int:
     """Integrity-check a trace file without analyzing it.
 
-    Binary traces get the full structural walk plus the v2 CRC32
-    trailer check; text traces are parsed line by line.  ``--validate``
+    Binary traces get the full structural walk plus the CRC32 trailer
+    check (v2 and v3); text traces are parsed line by line.  ``--validate``
     additionally checks trace feasibility (fork-before-run etc.).
     Exit 0 on a sound file, 1 on any integrity failure.
     """
@@ -1096,7 +1095,7 @@ def cmd_stream(args) -> int:
     from .net import ProtocolError, ResilientClient
 
     address = _address(args, "address")
-    trace = _load(Path(args.trace), args.format)
+    trace = _load(Path(args.trace))
     client = ResilientClient(
         address,
         args.session,
@@ -1327,8 +1326,8 @@ _FLAGS: Dict[str, Tuple[Tuple[str, ...], Dict]] = {
     "output": (("output",), dict(help="trace file to write")),
     "format": (("--format",), dict(
         choices=["auto", "text", "binary"], default="auto",
-        help="trace format (auto: sniff the PACR magic when reading, "
-        "go by the .pacr/.bin suffix when writing)",
+        help="trace format to write (auto: binary for a .pacr/.bin "
+        "suffix, else text)",
     )),
     "detector": (("--detector",), dict(
         choices=sorted(DETECTORS), default="fasttrack",
@@ -1444,7 +1443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("analyze", help="run a detector over a trace file")
-    _add_flags(p, "trace", "detector", "format", "limit", "fail_on_race")
+    _add_flags(p, "trace", "detector", "limit", "fail_on_race")
     p.add_argument(
         "--batch",
         action="store_true",
@@ -1461,7 +1460,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a trace (or workload) and explain each race with a "
         "happens-before witness and flight-recorder context",
     )
-    _add_flags(p, "trace", "detector", "format", "seed", "scale")
+    _add_flags(p, "trace", "detector", "seed", "scale")
     p.add_argument(
         "--races", type=int, default=5, metavar="N",
         help="number of distinct races to detail (default 5)",
@@ -1480,7 +1479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("oracle", help="exact happens-before ground truth")
-    _add_flags(p, "trace", "format", "limit")
+    _add_flags(p, "trace", "limit")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("detect", help="run a workload live under a detector")
@@ -1622,7 +1621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stream", help="stream a trace file to a server")
     _add_flags(p, "trace", "address")
     p.add_argument("--session", required=True, help="session name")
-    _add_flags(p, "detector", "format")
+    _add_flags(p, "detector")
     p.add_argument(
         "--chunk-size", type=int, default=512, help="events per frame"
     )
@@ -1704,7 +1703,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit detection quality: effective sampling rate, race "
         "attribution, and estimated true race count",
     )
-    _add_flags(p, "trace", "format", "rate", "seed", "scale", detector="pacer")
+    _add_flags(p, "trace", "rate", "seed", "scale", detector="pacer")
     p.add_argument(
         "--out", default=None, metavar="PATH",
         help="also write the repro/coverage-report/v1 JSON document",

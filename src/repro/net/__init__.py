@@ -2,10 +2,11 @@
 
 PACER's pitch is *always-on* detection in production, which means the
 analysis cannot live inside every monitored process.  This package moves
-it behind a wire: clients stream length-prefixed binio-v2 event frames
-over TCP or Unix sockets to a long-running detection server, which
-shards sessions onto long-lived detector worker processes and folds
-their ``repro/race-report/v1`` reports and metrics continuously.
+it behind a wire: clients stream length-prefixed event frames, each
+carrying a binio document (v3; v2 is still accepted), over TCP or Unix
+sockets to a long-running detection server, which shards sessions onto
+long-lived detector worker processes and folds their
+``repro/race-report/v1`` reports and metrics continuously.
 
 Layers (see ``docs/TELEMETRY.md`` for the wire format and lifecycle):
 

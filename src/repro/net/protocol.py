@@ -9,13 +9,14 @@ Frame layout (all integers little-endian)::
     u32   length     (= 1 + len(payload) + 4; bounded by max_frame)
     u8    type       (one of the FRAME_* constants)
     ...   payload    (JSON for control frames; varint seq, varint
-                      sent_ns + binio v2 bytes for EVENTS)
+                      sent_ns + a binio document for EVENTS)
     u32   crc32      (over the type byte plus the payload)
 
-The CRC trailer mirrors the binio v2 trace format: a flipped bit or a
+The CRC trailer mirrors the binio trace format's: a flipped bit or a
 silently shortened stream is caught even when the damage still parses.
-EVENTS payloads embed a complete binio-v2 document (magic, version,
-count, CRC), so event data is integrity-checked twice — once per frame
+EVENTS payloads embed a complete binio document (magic, version, count,
+column blocks, CRC): clients write v3, and a v2 document is still
+accepted.  Event data is thus integrity-checked twice — once per frame
 in flight, once per chunk at rest in the server's replay spool.  That
 document is the chunk's one form from client to shard: the client
 encodes it once, the server checks its envelope and forwards the same
@@ -34,7 +35,7 @@ Session lifecycle (client → server unless noted)::
       → HELLO_ACK {session, resume_seq, credits}     (server)
       → ERROR {code, detail}                         (server, then close)
     SITES {sites: {id: name}}          incremental site-name table
-    EVENTS <seq, sent_ns, binio v2 events>   consumes one credit
+    EVENTS <seq, sent_ns, binio document>    consumes one credit
       → CREDIT {ack, credits}          (server: durable seq + replenish)
     HEARTBEAT {nonce}                  → HEARTBEAT {nonce}  (echo)
     SPANS {pid, name, dropped, events} client-side trace spans (optional)
@@ -479,9 +480,10 @@ def decode_events(data: bytes) -> List[Event]:
 
 
 class EventsChunk:
-    """One sequenced chunk of trace events, carried as binio-v2 bytes.
+    """One sequenced chunk of trace events, carried as binio bytes.
 
-    ``data`` is the chunk's wire form, a complete binio-v2 document, and
+    ``data`` is the chunk's wire form, a complete binio document (v3 when
+    this class encodes it, v2 also accepted off the wire), and
     ``count`` the event count in its header.  A chunk built from events
     encodes them once, here; retransmits, the server's spool, and the
     shard pipe all reuse these bytes.  A chunk decoded off the wire holds

@@ -13,7 +13,7 @@ drives a session through its lifecycle:
   (CREDIT with ``ack=seq``) only once it is both *analyzed* and
   *spooled*, so every acknowledged chunk survives a worker crash and
   every unacknowledged chunk is still owned by the client — exactly-once
-  end to end.  The chunk stays the binio-v2 bytes the client sent: the
+  end to end.  The chunk stays the binio bytes the client sent: the
   front tier checks their envelope and forwards them verbatim to the
   shard and the spool, and only the shard decodes events;
 * **close / disconnect** — finalize the session on its shard (the

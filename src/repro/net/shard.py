@@ -14,9 +14,10 @@ Workers are the supervisor's long-lived pipe-connected processes
 :func:`_shard_main`: a request/response loop over ``open`` / ``events``
 / ``sites`` / ``finalize`` / ``trace`` messages (plus ``stop``), each
 dispatched by the one op table :class:`_HostTable` that inline mode
-calls directly.  An ``events`` message carries the chunk's binio-v2
-document exactly as the client sent it; the worker is the one place it
-is decoded, to the columns its session replays.
+calls directly.  An ``events`` message carries the chunk's binio
+document (v3, or v2 from an older client) exactly as the client sent
+it; the worker is the one place it is decoded, to the columns its
+session replays.
 Each session inside a worker is a :class:`SessionHost` — a detector with
 an attached :class:`~repro.obs.observer.RunObserver`, flight recorder,
 and an *exact* incremental
@@ -126,7 +127,7 @@ class SessionHost:
     def apply(self, data: bytes) -> int:
         """Analyze one chunk; returns the session's total race count.
 
-        ``data`` is the chunk's binio-v2 document.  It is decoded to
+        ``data`` is the chunk's binio document.  It is decoded to
         columns before any session state changes, so a malformed chunk
         raises :class:`~repro.net.protocol.PayloadError` with nothing
         applied.  The columns are indexed, then replayed through the
@@ -472,7 +473,7 @@ class ShardPool:
         )
 
     def apply(self, session: str, data: bytes, meta: Dict):
-        """Analyze one chunk, given as its binio-v2 document.
+        """Analyze one chunk, given as its binio document.
 
         Returns ``(races, lag_us)``: the session's race count so far and
         the end-to-end chunk lag in microseconds (``-1`` when the chunk

@@ -105,13 +105,8 @@ class EventBatch:
 
     @classmethod
     def from_columns(cls, kinds, tids, targets, sites) -> "EventBatch":
-        """Wrap already-columnar data without copying.
-
-        Unlike ``__init__``, the columns are stored as given — NumPy
-        arrays from the zero-copy binio reader are not copied here, and
-        :meth:`to_list_columns` normalizes them on demand for the
-        plain-int kernels.
-        """
+        """Wrap already-columnar lists without copying (``__init__``
+        copies), as the binio readers and shard workers decode them."""
         if not (len(kinds) == len(tids) == len(targets) == len(sites)):
             raise ValueError("batch columns must have equal length")
         batch = cls.__new__(cls)
@@ -123,25 +118,12 @@ class EventBatch:
         return batch
 
     def to_list_columns(self):
-        """``(kinds, tids, targets, sites)`` as plain Python lists.
-
-        The identity when the batch already holds lists; NumPy-backed
-        columns are converted once (``tolist`` yields plain ints, never
-        array scalars) and cached in place, so the object and packed
-        backends see exactly the integers they would have seen from
-        :meth:`from_events`.
-        """
-        if type(self.kinds) is not list:
-            self.kinds = self.kinds.tolist()
-        if type(self.tids) is not list:
-            self.tids = self.tids.tolist()
-        if type(self.targets) is not list:
-            self.targets = self.targets.tolist()
-        if type(self.sites) is not list:
-            self.sites = list(self.sites) if not hasattr(
-                self.sites, "tolist") else self.sites.tolist()
+        """``(kinds, tids, targets, sites)``, the plain ``int`` lists the
+        object and packed backends replay."""
         return self.kinds, self.tids, self.targets, self.sites
 
+    # nothing in the package calls this; it stays while the benchmark's
+    # traced pass wraps the name
     def to_numpy_columns(self):
         """Columns as NumPy arrays, for array-based consumers (cached).
 

@@ -1,41 +1,71 @@
 """Compact binary trace serialization.
 
 Paper-scale traces run to 10⁹ events; the text format
-(:mod:`repro.trace.textio`) is convenient but ~20 bytes/event.  This
-format packs each event into a varint-coded record (~3-6 bytes typical),
-with a small header and — since version 2 — an integrity trailer:
+(:mod:`repro.trace.textio`) is convenient but ~20 bytes/event.  The
+binary format stores a trace as blocks of fixed-width columns that the
+standard library decodes a column at a time (``array.frombytes``), with
+no per-event Python step.  Version 3, what every writer emits::
 
     magic  b"PACR"    4 bytes
-    version           1 byte
+    version           1 byte (3)
     event count       varint
-    events            kind-id varint, tid+1 varint, target varint, site varint
-    crc32 trailer     4 bytes little-endian (version >= 2 only)
+    blocks            of 1..4096 records each:
+        n             u16
+        widths        u8 each: bytes per tid, target and site (1, 2, 4 or 8)
+        kind ids      n x u8
+        tids          n signed integers
+        targets       n unsigned integers
+        sites         n signed integers
+    crc32 trailer     4 bytes
+
+Every integer is little-endian.  Each column of a block takes the
+narrowest width that holds all its values, so a tid is typically one
+byte, and tid -1 and negative ``alloc`` sites are stored as they are.
+``sbegin``/``send`` are stored as ``(kind, -1, 0, 0)``.  A writer
+rejects, with a :class:`ValueError` naming the field, a tid outside
+-1 .. 2^63-1, a target outside 0 .. 2^64-1 or a site outside the signed
+64-bit range.
 
 The trailer is CRC32 over every preceding byte, so a flipped bit or a
-silently shortened file is caught even when the damage still parses as
-well-formed varints.  Version 1 files (no trailer) remain readable;
-writers emit version 2 by default.
+silently shortened file is caught even when the damage still parses.
+
+Version history (every version stays readable; ``dumps_binary(version=)``
+still writes the older ones, for fixtures):
+
+* **v1** — varint records (kind id, tid+1, target, zig-zag site;
+  markers as their kind id alone), no trailer.
+* **v2** — v1 plus the CRC32 trailer.
+* **v3** — the column blocks above, inside v2's envelope (magic,
+  version, count, trailer), so envelope checks read every version.
 
 Kind ids are the canonical numbering in
-:data:`repro.trace.events.KIND_TO_ID`.  ``sbegin``/``send`` encode only
-their kind id.  The format round-trips exactly; truncated or corrupt
-input raises :class:`~repro.trace.trace.TraceFormatError` with a message
-naming the precise failure (bad magic, unsupported version, truncated
-varint at a byte offset, trailing bytes, or a CRC32 mismatch) rather
-than yielding garbage events.  ``repro verify-trace`` exposes the same
-checks as a CLI command via :func:`describe_binary`.
+:data:`repro.trace.events.KIND_TO_ID`.  The format round-trips exactly;
+truncated or corrupt input raises
+:class:`~repro.trace.trace.TraceFormatError` with a message naming the
+precise failure (bad magic, unsupported version, a bad or truncated
+block, an unknown kind id, a truncated varint at a byte offset, trailing
+bytes, or a CRC32 mismatch) rather than yielding garbage events.
+``repro verify-trace`` exposes the same checks via :func:`describe_binary`.
 
-One record decoder serves every pure-Python reader: it yields
-``(kinds, tids, targets, sites)`` columns, which shard workers replay
-directly and :func:`loads_binary` turns into
-:class:`~repro.trace.events.Event` records.
+One block iterator serves every reader: it yields
+``(kinds, tids, targets, sites)`` list columns a block at a time —
+v3's own blocks, or runs of 4096 records of a v1/v2 document, which go
+through the pure-Python varint decoder — and checks every version in one
+order: header, event count, the records, their count, exact fill, then
+the trailer.  Shard workers replay the columns directly,
+:func:`loads_binary` turns them into :class:`~repro.trace.events.Event`
+records, and :func:`loads_binary_columns` into an
+:class:`~repro.trace.batch.EventBatch`.
 """
 
 from __future__ import annotations
 
+import sys
 import zlib
+from array import array
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .batch import EventBatch
 from .events import Event, ID_TO_KIND, KIND_TO_ID, SBEGIN, SEND
@@ -56,18 +86,21 @@ __all__ = [
 
 MAGIC = b"PACR"
 #: newest format version, what ``dumps_binary`` emits by default
-VERSION = 2
-#: the legacy checksum-free format; still readable, never written unless asked
+VERSION = 3
+#: the legacy checksum-free varint format; readable, written only if asked
 VERSION_1 = 1
-SUPPORTED_VERSIONS = (VERSION_1, VERSION)
+#: the checksummed varint format; readable, written only if asked
+VERSION_2 = 2
+SUPPORTED_VERSIONS = (VERSION_1, VERSION_2, VERSION)
 
 _CRC_BYTES = 4
 
 #: the longest varint :func:`_read_varint` accepts, in bytes
 _MAX_VARINT = 10
 
-#: records per decoded block in :func:`loads_binary`, so a whole-file load
-#: holds one block's columns, not the whole trace's, next to its events
+#: records per v3 block, at most, and per block a v1/v2 document is
+#: decoded in: a whole-file load holds one block's columns at a time,
+#: not the whole trace's, next to its events
 _EVENT_BLOCK = 4096
 
 _N_KINDS = len(ID_TO_KIND)
@@ -79,11 +112,28 @@ _KIND_TO_ID = KIND_TO_ID
 
 #: decoded records as parallel lists: kind ids, tids, targets, sites
 Columns = Tuple[List[int], List[int], List[int], List[int]]
+#: one block of decoded records: v3's four arrays, or v1/v2's lists
+Blocks = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
+
+#: the operand ranges a document holds
+_I64_MIN, _I64_MAX, _U64_MAX = -(1 << 63), (1 << 63) - 1, (1 << 64) - 1
+
+#: column width in bytes -> array typecode, by ``itemsize`` rather than
+#: by letter, whose sizes vary between platforms
+_SIGNED = {array(code).itemsize: code for code in "qlihb"}
+_UNSIGNED = {array(code).itemsize: code for code in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+#: kind-id byte -> 0 for an event kind, 2 for a marker, 1 for no kind
+_KIND_CHECK = bytes(
+    2 if b in (_SBEGIN_ID, _SEND_ID) else 0 if b < _N_KINDS else 1
+    for b in range(256)
+)
+#: top byte of a signed column value -> 1 when the value is negative
+_NEGATIVE = bytes(b >> 7 for b in range(256))
 
 
 def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"varint cannot encode negative value {value}")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -110,52 +160,92 @@ def _read_varint(data: bytes, pos: int, end: int) -> Tuple[int, int]:
             raise TraceFormatError(f"varint longer than 64 bits at byte {pos}")
 
 
-def dumps_binary(events: Iterable[Event], version: int = VERSION) -> bytes:
-    """Serialize events to the binary format (version 2 by default).
+def _check_event(kind, tid: int, target: int, site: int) -> int:
+    """The kind id of one event whose operands every version can hold."""
+    kind_id = KIND_TO_ID.get(kind)
+    if kind_id is None:
+        raise ValueError(f"unknown event kind {kind!r}")
+    if kind_id == _SBEGIN_ID or kind_id == _SEND_ID:
+        return kind_id  # a marker's operands are not stored
+    if not -1 <= tid <= _I64_MAX:
+        raise ValueError(f"cannot encode tid {tid}")
+    if target < 0:
+        raise ValueError(f"cannot encode negative target {target}")
+    if target > _U64_MAX:
+        raise ValueError(f"cannot encode target {target} (above 2**64 - 1)")
+    if not _I64_MIN <= site <= _I64_MAX:
+        raise ValueError(f"cannot encode site {site} (outside signed 64 bits)")
+    return kind_id
 
-    ``version=1`` writes the legacy trailer-free layout — kept for
-    compatibility tests and for producing fixtures older readers accept.
+
+def _packed(values: List[int], signed: bool) -> array:
+    """``values`` as little-endian integers of the narrowest width that
+    holds them all (:class:`OverflowError` beyond 8 bytes)."""
+    lo, hi = min(values), max(values)
+    for width in (1, 2, 4, 8):
+        bound = 1 << (8 * width - signed)
+        if -bound <= lo and hi < bound or width == 8:
+            break
+    column = array((_SIGNED if signed else _UNSIGNED)[width], values)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column
+
+
+def _write_blocks(out: bytearray, rows) -> None:
+    """The v3 blocks of ``rows``.  A block is checked by encoding it; if
+    that fails, its events are checked one by one, so the first bad one
+    names itself exactly as the v1/v2 writer names it."""
+    for a in range(0, len(rows), _EVENT_BLOCK):
+        block = rows[a:a + _EVENT_BLOCK]
+        t, g, s = (list(map(itemgetter(i), block)) for i in (1, 2, 3))
+        try:
+            # TypeError on an unknown kind, looked up as None
+            kind_bytes = bytes(map(KIND_TO_ID.get, map(itemgetter(0), block)))
+            marks = kind_bytes.translate(_KIND_CHECK)
+            i = marks.find(2)
+            while i >= 0:
+                t[i], g[i], s[i] = -1, 0, 0
+                i = marks.find(2, i + 1)
+            if min(t) < -1:
+                raise OverflowError
+            columns = (_packed(t, True), _packed(g, False), _packed(s, True))
+        except (TypeError, OverflowError):
+            for row in block:
+                _check_event(*row)
+            raise
+        out += len(t).to_bytes(2, "little")
+        out += bytes(column.itemsize for column in columns)
+        out += kind_bytes
+        for column in columns:
+            out += column
+
+
+def _write_records(out: bytearray, rows) -> None:
+    """The v1/v2 varint records of ``rows``."""
+    write = _write_varint
+    for kind, tid, target, site in rows:
+        kind_id = _check_event(kind, tid, target, site)
+        out.append(kind_id)  # every kind id is below 0x80
+        if kind_id != _SBEGIN_ID and kind_id != _SEND_ID:
+            write(out, tid + 1)
+            write(out, target)
+            write(out, (site << 1) ^ (site >> 63))  # zig-zag
+
+
+def dumps_binary(events: Iterable[Event], version: int = VERSION) -> bytes:
+    """Serialize events to the binary format (version 3 by default).
+
+    ``version=1`` and ``version=2`` write the legacy varint layouts —
+    kept for compatibility tests and for fixtures older readers accept.
     """
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(f"cannot write version {version} (supported: {SUPPORTED_VERSIONS})")
     rows = events if isinstance(events, (list, tuple)) else list(events)
-    out = bytearray()
-    out += MAGIC
+    out = bytearray(MAGIC)
     out.append(version)
     _write_varint(out, len(rows))
-    append = out.append
-    write = _write_varint
-    kind_ids = KIND_TO_ID.get
-    sbegin_id, send_id = _SBEGIN_ID, _SEND_ID
-    # most operands fit one varint byte: those are appended inline, and
-    # longer (or invalid) values go through _write_varint
-    for kind, tid, target, site in rows:
-        kind_id = kind_ids(kind)
-        if kind_id is None:
-            raise ValueError(f"unknown event kind {kind!r}")
-        append(kind_id)  # every kind id is below 0x80
-        if kind_id == sbegin_id or kind_id == send_id:
-            continue
-        if tid < -1:
-            raise ValueError(f"cannot encode tid {tid}")
-        if target < 0:
-            raise ValueError(f"cannot encode negative target {target}")
-        # tids are >= 0 for thread actions; alloc's site may carry a
-        # signed live-delta, zig-zag encode it
-        tid += 1
-        if tid < 0x80:
-            append(tid)
-        else:
-            write(out, tid)
-        if target < 0x80:
-            append(target)
-        else:
-            write(out, target)
-        site = (site << 1) ^ (site >> 63)  # zig-zag
-        if 0 <= site < 0x80:
-            append(site)
-        else:
-            write(out, site)
+    (_write_blocks if version == VERSION else _write_records)(out, rows)
     if version >= 2:
         out += zlib.crc32(out).to_bytes(_CRC_BYTES, "little")
     return bytes(out)
@@ -175,6 +265,11 @@ def _parse_header(data: bytes) -> Tuple[int, int, int]:
     if version not in SUPPORTED_VERSIONS:
         raise TraceFormatError(f"unsupported version {version}")
     end = len(data)
+    # v1 has no trailer, so a v3 document whose version byte lost bit 1
+    # would otherwise be read unchecked
+    if version == VERSION_1 and end >= 10 and zlib.crc32(
+            MAGIC + bytes([VERSION]) + data[5:-4]) == int.from_bytes(data[-4:], "little"):
+        raise TraceFormatError("corrupt version byte: a v1 trace with a v3 CRC32 trailer")
     if version >= 2:
         if len(data) < 5 + 1 + _CRC_BYTES:
             raise TraceFormatError(
@@ -219,8 +314,8 @@ def _parse_count(data: bytes) -> Tuple[int, int, int, int]:
 def _decode_columns(
     data: bytes, count: int, pos: int, end: int
 ) -> Tuple[Columns, int]:
-    """The ``count`` records from ``data[pos:end]``, and the offset one
-    past the last of them.
+    """The ``count`` v1/v2 records from ``data[pos:end]``, and the offset
+    one past the last of them.
 
     Varints of up to three bytes are read inline.  Longer ones, and every
     field of the records that start in the last ``4 * _MAX_VARINT`` bytes,
@@ -323,15 +418,131 @@ def _decode_columns(
     return (kinds, tids, targets, sites), pos
 
 
-def _check_filled(pos: int, end: int) -> None:
-    """The records must end exactly where the payload does."""
+def _column(data: bytes, a: int, b: int, code: str) -> array:
+    """The little-endian integers of ``data[a:b]``, in host order."""
+    values = array(code, data[a:b])
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return values
+
+
+def _decode_block(data: bytes, pos: int, end: int) -> Tuple[Blocks, int]:
+    """The v3 block at ``data[pos:end]`` as four arrays, and the offset
+    one past it.
+
+    Checks its length, widths and bounds, then its values on the raw
+    column bytes: every kind id names a kind, no tid is below -1 and
+    every marker is ``(-1, 0, 0)``; the earliest bad record names itself.
+    """
+    if end - pos < 5:
+        raise TraceFormatError(f"truncated block header at byte {pos}")
+    n = data[pos] | data[pos + 1] << 8
+    if not 1 <= n <= _EVENT_BLOCK:
+        raise TraceFormatError(f"bad block length {n} at byte {pos}")
+    tw, gw, sw = data[pos + 2:pos + 5]
+    if tw not in _SIGNED or gw not in _SIGNED or sw not in _SIGNED:
+        raise TraceFormatError(f"bad column widths {tw}, {gw}, {sw} at byte {pos + 2}")
+    k = pos + 5
+    t = k + n
+    g = t + n * tw
+    s = g + n * gw
+    stop = s + n * sw
+    if stop > end:
+        raise TraceFormatError(f"truncated block at byte {pos}: "
+                               f"needs {stop - pos} bytes, {end - pos} left")
+    kinds = array("B", data[k:t])
+    tids = _column(data, t, g, _SIGNED[tw])
+    targets = _column(data, g, s, _UNSIGNED[gw])
+    sites = _column(data, s, stop, _SIGNED[sw])
+    bad = []
+    marks = data[k:t].translate(_KIND_CHECK)
+    i = marks.find(1)
+    if i >= 0:
+        bad.append((i, f"unknown kind id {kinds[i]} at byte {k + i}"))
+    negative = data[t + tw - 1:g:tw].translate(_NEGATIVE)
+    i = negative.find(1)
+    while i >= 0 and tids[i] == -1:
+        i = negative.find(1, i + 1)
+    if i >= 0:
+        bad.append((i, f"tid {tids[i]} below -1 at byte {t + i * tw}"))
+    i = marks.find(2)
+    while i >= 0 and tids[i] == -1 and not targets[i] and not sites[i]:
+        i = marks.find(2, i + 1)
+    if i >= 0:
+        bad.append((i, f"{ID_TO_KIND[kinds[i]]} with operands "
+                       f"({tids[i]}, {targets[i]}, {sites[i]}) at byte {k + i}"))
+    if bad:
+        raise TraceFormatError(min(bad)[1])
+    return (kinds, tids, targets, sites), stop
+
+
+def _records(data: bytes, crc: bool = True, rows: int = 0) -> Iterator[Blocks]:
+    """A document's records, a block of columns at a time: a v3 block's
+    four arrays, or the lists of up to ``rows`` (default
+    ``_EVENT_BLOCK``) v1/v2 records.
+
+    Checks every version in one order: header, event count, the records
+    block by block, that they add up to the count and end exactly where
+    the payload does, then (v2+, when ``crc``) the CRC32 trailer — so a
+    caller that stops early has seen no trailer check.
+    """
+    version, count, pos, end = _parse_count(data)
+    if version < VERSION:
+        rows = rows or _EVENT_BLOCK
+        for first in range(0, count, rows):
+            columns, pos = _decode_columns(data, min(rows, count - first), pos, end)
+            yield columns
+    else:
+        seen = 0
+        while seen < count:
+            at = pos
+            columns, pos = _decode_block(data, pos, end)
+            seen += len(columns[0])
+            if seen > count:
+                raise TraceFormatError(f"block at byte {at} ends at record "
+                                       f"{seen}, past the event count {count}")
+            yield columns
     if pos != end:
         raise TraceFormatError(f"{end - pos} trailing bytes after events")
+    if crc and version >= 2:
+        _check_crc(data)
+
+
+def _checked_records(data: bytes, validate: bool) -> Iterator[Blocks]:
+    """:func:`_records`, each block checked by one
+    :class:`FeasibilityChecker` when ``validate`` is set.  A format error
+    anywhere in the document outranks an infeasible event."""
+    checker, first = FeasibilityChecker() if validate else None, 0
+    blocks = _records(data)
+    for columns in blocks:
+        try:
+            first = checker.check(first, *columns) if checker else 0
+        except TraceError:
+            for _ in blocks:
+                pass
+            raise
+        yield columns
 
 
 def _events(kinds, tids, targets, sites) -> List[Event]:
     """Decoded columns as :class:`Event` records."""
     return list(map(Event, map(ID_TO_KIND.__getitem__, kinds), tids, targets, sites))
+
+
+def _whole(data: bytes, crc: bool = True) -> Columns:
+    """A document's records as four lists: a v1/v2 document decoded as
+    one block (it holds fewer records than bytes), or one ``tolist`` per
+    column of a v3 document, its blocks' arrays joined and narrow ones
+    widened."""
+    columns = []
+    for part in list(zip(*_records(data, crc, rows=len(data)))) or [()] * 4:
+        if part and type(part[0]) is list:
+            columns.append(part[0])
+            continue
+        code = max(part, key=lambda c: c.itemsize, default=array("b")).typecode
+        joined = b"".join(c if c.typecode == code else array(code, c) for c in part)
+        columns.append(array(code, joined).tolist())
+    return tuple(columns)
 
 
 def loads_binary(data: bytes, validate: bool = True) -> Trace:
@@ -340,25 +551,12 @@ def loads_binary(data: bytes, validate: bool = True) -> Trace:
     Raises :class:`TraceFormatError` on any structural problem and (when
     ``validate`` is on) :class:`~repro.trace.trace.TraceError` if the
     decoded events are not a feasible trace.  Records are decoded and
-    checked a block at a time; a format error, in
-    :func:`_decode_document`'s order, outranks a feasibility error.
+    checked a block at a time; a format error, in :func:`_records`'
+    order, outranks a feasibility error.
     """
-    version, count, pos, end = _parse_count(data)
-    checker = FeasibilityChecker() if validate else None
     events: List[Event] = []
-    for first in range(0, count, _EVENT_BLOCK):
-        columns, pos = _decode_columns(
-            data, min(_EVENT_BLOCK, count - first), pos, end)
-        if checker is not None:
-            try:
-                checker.check(first, *columns)
-            except TraceError:
-                _decode_document(data)  # a format error outranks it
-                raise
+    for columns in _checked_records(data, validate):
         events += _events(*columns)
-    _check_filled(pos, end)
-    if version >= 2:
-        _check_crc(data)
     return Trace(events)
 
 
@@ -381,22 +579,11 @@ def decode_binary_columns(data: bytes) -> Columns:
 
     Returns ``(kinds, tids, targets, sites)`` lists, kinds as their
     :data:`~repro.trace.events.KIND_TO_ID` ids.  Checks the record
-    structure (kind ids, varints, exact fill) but not the CRC32 trailer,
-    which ``check_binary`` already verified.  Raises
+    structure (blocks or varints, values, exact fill) but not the CRC32
+    trailer, which ``check_binary`` already verified.  Raises
     :class:`TraceFormatError`.
     """
-    _version, count, pos, end = _parse_count(data)
-    columns, pos = _decode_columns(data, count, pos, end)
-    _check_filled(pos, end)
-    return columns
-
-
-def _decode_document(data: bytes) -> Columns:
-    """A whole document's records, checked in the readers' order: header,
-    event count, records, exact fill, then (v2+) the CRC32 trailer."""
-    columns = decode_binary_columns(data)
-    check_binary(data)
-    return columns
+    return _whole(data, crc=False)
 
 
 def decode_binary_events(data: bytes) -> List[Event]:
@@ -404,194 +591,20 @@ def decode_binary_events(data: bytes) -> List[Event]:
     return _events(*decode_binary_columns(data))
 
 
-# -- columnar (zero-copy) reader ---------------------------------------------
-#
-# ``loads_binary_columns`` decodes the same wire format straight into an
-# :class:`~repro.trace.batch.EventBatch` whose columns are NumPy arrays,
-# skipping per-event ``Event`` construction entirely — the feed for
-# ``repro analyze --batch``.  It is what the optional ``[np]`` extra is
-# for, and it imports NumPy on first call, never at module import.  The
-# decode is vectorized (one pass of array ops over the whole payload,
-# no per-varint Python), and ``load_trace_columns`` maps the file with
-# ``mmap`` so the raw bytes are never copied into the interpreter heap.
-#
-# Correctness contract: on *any* anomaly — bad magic, truncated varint,
-# CRC mismatch, structural disagreement, oversized values — the column
-# reader delegates to the scalar record decoder, so corrupt input
-# produces byte-identical :class:`TraceFormatError` messages in
-# :func:`loads_binary`'s checking order.  The fast path returns only
-# when a fully clean vectorized decode agrees with the format's
-# sequential grammar.
+def loads_binary_columns(data: bytes) -> EventBatch:
+    """Parse a binary trace into a columnar :class:`EventBatch` of lists.
 
-#: payload bytes the vectorized reader expands at a time.  Its per-byte
-#: temporaries (about 60 bytes per payload byte) then stay near 4 MB
-#: whatever the trace's length.  Expanding a whole 2.3 MB payload at
-#: once peaked about 100 MB higher, and about 20 MB of the freed heap
-#: stayed resident under whatever the process did next.
-_BLOCK_BYTES = 1 << 16
-
-
-def _varint_values(b, most: int):
-    """Every varint value in payload bytes ``b`` (a NumPy ``uint8`` array
-    ending on a varint's last byte), in order, decoded block by block
-    into one array of room ``most``.  None when a varint is longer than
-    5 bytes (values >= 2^35, or past the 64-bit limit: rare enough that
-    the scalar reader both decodes and errors them) or there are more
-    than ``most`` varints."""
-    import numpy as np
-
-    values = np.empty(most, dtype=np.int64)
-    lo, nb, at = 0, len(b), 0
-    while lo < nb:
-        # end the block on the last byte of the varint its cut falls in
-        hi = min(lo + _BLOCK_BYTES, nb)
-        last = np.flatnonzero((b[hi - 1:hi + 9] & 0x80) == 0)
-        if not len(last):
-            return None
-        hi += int(last[0])
-        block = b[lo:hi]
-        term = (block & 0x80) == 0
-        starts = np.empty(len(block), dtype=bool)
-        starts[0] = True
-        starts[1:] = term[:-1]
-        spos = np.flatnonzero(starts)
-        # k: each byte's position inside its varint
-        k = np.arange(len(block), dtype=np.int64) - spos[np.cumsum(starts) - 1]
-        if int(k.max()) > 4:
-            return None
-        vals = (block & 0x7F).astype(np.int64) << (7 * k)
-        cs = np.cumsum(vals)
-        n = len(spos)
-        if at + n > most:
-            return None
-        values[at:at + n] = cs[np.flatnonzero(term)] - cs[spos] + vals[spos]
-        at += n
-        lo = hi
-    return values[:at]
-
-
-def _columns_fallback(data):
-    """Decode with the scalar record decoder (exact errors) into a batch."""
-    return EventBatch.from_columns(*_decode_document(bytes(data)))
-
-
-def loads_binary_columns(data):
-    """Parse a binary trace into a columnar :class:`EventBatch`.
-
-    Accepts any bytes-like object (``bytes``, ``memoryview``, ``mmap``).
-    Structural integrity — magic, version, varint well-formedness, event
-    count, CRC32 trailer — is always enforced, with the same exceptions
-    as :func:`loads_binary`.  It only decodes: feasibility is checked by
-    :class:`~repro.trace.trace.FeasibilityChecker` on the list columns.
-
-    Requires numpy for the vectorized path; without it the scalar reader
-    is used transparently.
+    Every structural check of :func:`loads_binary` runs, in its order and
+    with its messages.  It only decodes: feasibility is checked by
+    :class:`~repro.trace.trace.FeasibilityChecker` on the columns.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised via gating tests
-        return _columns_fallback(data)
-
-    view = memoryview(data)
-    try:
-        version, pos, end = _parse_header(view)
-        count, pos = _read_varint(view, pos, end)
-    except TraceFormatError:
-        return _columns_fallback(data)
-    if version >= 2 and zlib.crc32(view[:-_CRC_BYTES]) != int.from_bytes(
-        view[-_CRC_BYTES:], "little"
-    ):
-        # scalar reader decides whether a structural error outranks the
-        # CRC mismatch, keeping the error order identical
-        return _columns_fallback(data)
-    if count == 0:
-        if pos != end:
-            return _columns_fallback(data)
-        return EventBatch([], [], [], [])
-    if pos >= end or count > end - pos:
-        return _columns_fallback(data)
-
-    b = np.frombuffer(view, dtype=np.uint8, count=end - pos, offset=pos)
-    if b[-1] & 0x80:  # payload ends mid-varint
-        return _columns_fallback(data)
-    # a record is at most 4 varints, and a varint at least 1 byte
-    V = _varint_values(b, min(4 * count, len(b)))
-    if V is None:
-        return _columns_fallback(data)
-    M = len(V)
-
-    # Recover record boundaries.  The grammar is sequential — a record
-    # is 1 varint for sbegin/send, 4 otherwise — but only the *values*
-    # 8/9 at record starts matter, so walk just the candidate positions:
-    # between consecutive one-varint markers every record is 4 long.
-    markers: List[int] = []
-    cur = 0
-    cand = np.flatnonzero((V == _SBEGIN_ID) | (V == _SEND_ID))
-    for c in cand.tolist():
-        if c >= cur and (c - cur) % 4 == 0:
-            markers.append(c)
-            cur = c + 1
-    if (M - cur) % 4:
-        return _columns_fallback(data)
-    n_records = len(markers) + (M - len(markers)) // 4
-    if n_records != count:
-        return _columns_fallback(data)
-
-    # the records between two markers are all four varints long: read
-    # each stretch's columns as strided views, into the output columns
-    kinds = np.empty(count, dtype=np.uint8)
-    tids = np.empty(count, dtype=np.int64)
-    targets = np.empty(count, dtype=np.int64)
-    sites = np.empty(count, dtype=np.int64)
-    r = prev = 0
-    for m in markers + [M]:
-        records = V[prev:m].reshape(-1, 4)
-        n = len(records)
-        if n:
-            if int(records[:, 0].max()) >= _N_KINDS:
-                return _columns_fallback(data)
-            kinds[r:r + n] = records[:, 0]
-            np.subtract(records[:, 1], 1, out=tids[r:r + n])
-            targets[r:r + n] = records[:, 2]
-            z = records[:, 3]  # zigzag-coded site
-            np.bitwise_xor(z >> 1, -(z & 1), out=sites[r:r + n])
-            r += n
-        if m < M:  # a marker record is exactly one varint
-            kinds[r], tids[r], targets[r], sites[r] = V[m], -1, 0, 0
-            r += 1
-        prev = m + 1
-    return EventBatch.from_columns(kinds, tids, targets, sites)
+    return EventBatch.from_columns(*_whole(bytes(data)))
 
 
-def load_trace_columns(path: Union[str, Path]):
-    """Read a binary trace file into a columnar :class:`EventBatch`.
-
-    The file is ``mmap``-ed read-only and decoded in place — the raw
-    bytes are never copied into the Python heap; only the four decoded
-    integer columns are materialized.  Error behavior matches
-    :func:`loads_binary_columns`.
-    """
-    import mmap
-
-    with open(Path(path), "rb") as fh:
-        size = fh.seek(0, 2)
-        if size == 0:
-            # mmap rejects empty files; the scalar reader owns the error
-            return _columns_fallback(b"")
-        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            try:
-                return loads_binary_columns(mm)
-            except TraceFormatError:
-                # the traceback pins buffer views into the map; copy out
-                # and re-raise from plain bytes so the map can close
-                data = bytes(mm)
-        finally:
-            try:
-                mm.close()
-            except BufferError:  # pragma: no cover - freed by the GC then
-                pass
-    return _columns_fallback(data)
+def load_trace_columns(path: Union[str, Path]) -> EventBatch:
+    """Read a binary trace file into a columnar :class:`EventBatch`
+    (:func:`loads_binary_columns` of the file's bytes)."""
+    return loads_binary_columns(Path(path).read_bytes())
 
 
 def describe_binary(data: bytes, validate: bool = False) -> Dict[str, object]:
@@ -603,16 +616,14 @@ def describe_binary(data: bytes, validate: bool = False) -> Dict[str, object]:
     Raises :class:`TraceFormatError` on the first integrity problem.
     """
     version, _, _ = _parse_header(data)
-    columns = _decode_document(data)
-    if validate:
-        FeasibilityChecker().check(0, *columns)
+    events = sum(len(columns[0]) for columns in _checked_records(data, validate))
     crc: Optional[str] = None
     if version >= 2:
         crc = f"0x{int.from_bytes(data[-_CRC_BYTES:], 'little'):08x}"
     return {
         "format": "binary",
         "version": version,
-        "events": len(columns[0]),
+        "events": events,
         "bytes": len(data),
         "crc32": crc,
         "checksummed": version >= 2,

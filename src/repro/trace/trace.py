@@ -8,6 +8,8 @@ synchronization semantics:
   reentrant, as in Java);
 * a forked thread performs no actions before its ``fork`` and none after
   being ``join``\\ ed; threads are forked and joined at most once;
+* a thread id is at most :data:`~repro.core.clocks.MAX_TID`, the largest
+  a packed epoch can carry (a limit of this reproduction, not the paper);
 * ``sbegin``/``send`` alternate (no nested sampling periods).
 
 Root threads (those never forked, e.g. the main thread) may act from the
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Set
 
+from ..core.clocks import MAX_TID
 from .batch import EventBatch
 from .events import (
     ACCESS_KINDS,
@@ -132,6 +135,8 @@ class FeasibilityChecker:
             else:  # a fork or join ends its stretch, and acts in it
                 self._stretch(cols, a, i + 1)
                 a = i + 1
+                if target > MAX_TID:
+                    _fail(cols, i, f"thread id {target} above {MAX_TID}")
                 if k == _FORK:
                     if target == tid:
                         _fail(cols, i, "thread forks itself")
@@ -154,10 +159,13 @@ class FeasibilityChecker:
         """Thread rules over events ``a:b``: no marker, a fork or join last only."""
         tids = cols[2]
         seen = set(tids[a:b])
-        if min(seen, default=0) < 0 or not self._joined.isdisjoint(seen):
+        if (min(seen, default=0) < 0 or max(seen, default=0) > MAX_TID
+                or not self._joined.isdisjoint(seen)):
             for i in range(a, b):
                 if tids[i] < 0:
                     _fail(cols, i, "thread actions need a valid tid")
+                if tids[i] > MAX_TID:
+                    _fail(cols, i, f"thread id {tids[i]} above {MAX_TID}")
                 if tids[i] in self._joined:
                     _fail(cols, i, f"thread {tids[i]} acts after being joined")
         self._acted |= seen

@@ -11,7 +11,7 @@ in CI fails the same way on every machine.  This module provides that:
 * :func:`execute_fault` — the worker-side actuator that turns a matched
   rule into an actual crash / hang / exception / corrupted result;
 * byte-corruption helpers (:func:`flip_byte`, :func:`truncate_bytes`)
-  used by the trace-integrity tests to prove the binio v2 CRC trailer
+  used by the trace-integrity tests to prove the binio CRC trailer
   catches what it claims to catch.
 
 Fault-plan grammar

@@ -79,19 +79,25 @@ def test_cli_rejects_unknown_backend(capsys):
             assert name in err
 
 
-def test_cli_and_server_import_without_numpy():
-    """NumPy serves only the binio column reader, which imports it on
-    first use: loading the CLI and the service front must not pull it in
-    (every shard worker would pay its memory otherwise)."""
+def test_cli_and_server_import_without_numpy(tmp_path):
+    """No command imports NumPy: loading the CLI and the service front,
+    and analyzing and verifying a binary trace, leave it out of
+    ``sys.modules`` (every shard worker would pay its memory otherwise)."""
     code = (
-        "import sys, repro.cli, repro.net.server; "
-        "print('numpy' in sys.modules)"
+        "import sys, repro.cli, repro.net.server\n"
+        "from repro.trace.binio import dump_trace_binary\n"
+        "from repro.trace.events import fork, wr\n"
+        "path = sys.argv[1]\n"
+        "dump_trace_binary([fork(0, 1), wr(0, 3, 1), wr(1, 3, 2)], path)\n"
+        "codes = [repro.cli.main(argv + [path]) for argv in (\n"
+        "    ['analyze'], ['analyze', '--batch', '--detector', 'pacer'],\n"
+        "    ['verify-trace', '--validate'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
-        text=True, check=True,
+        [sys.executable, "-c", code, str(tmp_path / "t.pacr")], env=env,
+        capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
-
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False"

@@ -41,20 +41,24 @@ class TestRecordAnalyze:
         main(["record", "pseudojbb", str(path), "--scale", "0.15", "--format", "binary"])
         assert main(["analyze", str(path)]) == 0
 
-    def test_batch_analyze_never_reads_the_whole_file(
+    def test_batch_analyze_reads_the_file_once(
         self, tmp_path, capsys, monkeypatch
     ):
-        # the format sniff reads four bytes and the column reader maps
-        # the file, so no whole-file copy enters the Python heap
+        # the format sniff reads four bytes and the column reader the
+        # file's bytes, once
         path = tmp_path / "t.pacr"
         main(["record", "pseudojbb", str(path), "--scale", "0.15", "--format", "binary"])
+        reads = []
+        read_bytes = Path.read_bytes
 
-        def no_copy(self):
-            raise AssertionError(f"whole-file read of {self}")
+        def counted(self):
+            reads.append(self)
+            return read_bytes(self)
 
-        monkeypatch.setattr(Path, "read_bytes", no_copy)
+        monkeypatch.setattr(Path, "read_bytes", counted)
         assert main(["analyze", str(path), "--batch"]) == 0
         assert "race reports" in capsys.readouterr().out
+        assert reads == [path]
 
     def test_fail_on_race_exit_code(self, tmp_path):
         path = tmp_path / "racy.txt"
@@ -245,7 +249,7 @@ class TestVerifyTrace:
         assert main(["verify-trace", str(path), "--validate"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"OK {path}:")
-        assert "v2" in out and "crc32" in out and "feasible" in out
+        assert "v3" in out and "crc32" in out and "feasible" in out
 
     def test_ok_text(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
@@ -269,7 +273,7 @@ class TestVerifyTrace:
         assert main(["verify-trace", str(path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert doc["checksummed"] is True
         assert doc["events"] > 0
 

@@ -33,7 +33,6 @@ SURFACE = {
     "analyze": ("cmd_analyze", [
         ((), "trace", None, None, None, None, True, None),
         (("--detector",), "detector", "fasttrack", DETECTORS, None, None, False, None),
-        (("--format",), "format", "auto", FORMATS, None, None, False, None),
         (("--limit",), "limit", 20, None, "int", None, False, None),
         (("--fail-on-race",), "fail_on_race", False, None, None, 0, False, True),
         (("--batch",), "batch", False, None, None, 0, False, True),
@@ -49,7 +48,6 @@ SURFACE = {
     "explain": ("cmd_explain", [
         ((), "trace", None, None, None, None, True, None),
         (("--detector",), "detector", "fasttrack", DETECTORS, None, None, False, None),
-        (("--format",), "format", "auto", FORMATS, None, None, False, None),
         (("--seed",), "seed", 0, None, "int", None, False, None),
         (("--scale",), "scale", 1.0, None, "float", None, False, None),
         (("--races",), "races", 5, None, "int", None, False, None),
@@ -64,7 +62,6 @@ SURFACE = {
     ]),
     "oracle": ("cmd_oracle", [
         ((), "trace", None, None, None, None, True, None),
-        (("--format",), "format", "auto", FORMATS, None, None, False, None),
         (("--limit",), "limit", 20, None, "int", None, False, None),
     ]),
     "detect": ("cmd_detect", [
@@ -146,7 +143,6 @@ SURFACE = {
         (("--address",), "address", None, None, None, None, True, None),
         (("--session",), "session", None, None, None, None, True, None),
         (("--detector",), "detector", "fasttrack", DETECTORS, None, None, False, None),
-        (("--format",), "format", "auto", FORMATS, None, None, False, None),
         (("--chunk-size",), "chunk_size", 512, None, "int", None, False, None),
         (("--fail-on-race",), "fail_on_race", False, None, None, 0, False, True),
         (("--retries",), "retries", 8, None, "int", None, False, None),
@@ -191,7 +187,6 @@ SURFACE = {
     "coverage": ("cmd_coverage", [
         ((), "trace", None, None, None, None, True, None),
         (("--detector",), "detector", "pacer", DETECTORS, None, None, False, None),
-        (("--format",), "format", "auto", FORMATS, None, None, False, None),
         (("--rate",), "rate", None, None, "float", None, False, None),
         (("--seed",), "seed", 0, None, "int", None, False, None),
         (("--scale",), "scale", 1.0, None, "float", None, False, None),

@@ -67,6 +67,7 @@ from repro.net.protocol import (
 )
 from repro.net.client import ResilientClient
 from repro.net.server import ServerConfig, TelemetryServer
+from repro.trace.binio import dumps_binary
 from repro.trace.events import (
     ACQUIRE,
     FORK,
@@ -596,6 +597,25 @@ def test_server_clean_close_summary(server):
     assert ack.summary["session"] == "conf-close"
     assert ack.summary["events"] == 2
     assert ack.summary["chunks"] == 1
+    conn.close()
+
+
+def test_server_accepts_v2_chunks(server):
+    """Clients write v3 documents; a v2 chunk from an older client is
+    checked, applied and acknowledged the same way."""
+    conn = RawConn(server.address)
+    _hello(conn, "conf-v2")
+    events = (Event(WRITE, 0, 7, 1), Event(WRITE, 1, 7, 2))
+    assert EventsChunk(seq=1, events=events).data[4] == 3
+    for seq, version in ((1, 2), (2, 3)):
+        data = dumps_binary(events, version=version)
+        conn.send(EventsChunk.from_data(seq, data, len(events)))
+        credit = conn.recv_msg()
+        assert isinstance(credit, Credit) and credit.ack == seq
+    conn.send(Close(seq=2))
+    ack = conn.recv_msg()
+    assert isinstance(ack, CloseAck)
+    assert (ack.summary["events"], ack.summary["chunks"]) == (4, 2)
     conn.close()
 
 

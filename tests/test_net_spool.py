@@ -1,10 +1,11 @@
 """The replay spool's on-disk format, pinned byte for byte.
 
-A session's spool is ``u32 len || binio-v2 document`` per acknowledged
+A session's spool is ``u32 len || binio document`` per acknowledged
 chunk.  The server writes the EVENTS payload it received, unchanged, so
 the spool must equal exactly what the client sent.  Spools written by
 decoding each chunk and re-encoding it with ``dumps_binary`` have the
-same format and must replay through crash recovery to the same report.
+same format and must replay through crash recovery to the same report,
+and so must spools of v2 documents, which older clients sent.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.net import ResilientClient, ServerConfig, TelemetryServer
 from repro.obs import RunObserver, SyncIndex
 from repro.obs.provenance import DEFAULT_WINDOW, FlightRecorder
 from repro.obs.reports import build_report
-from repro.trace.binio import dumps_binary
+from repro.trace.binio import VERSION, VERSION_2, dumps_binary
 from repro.trace.generator import GeneratorConfig, random_trace
 
 TRACE = random_trace(
@@ -26,11 +27,11 @@ EVENTS = list(TRACE.events)
 CHUNK = 37
 
 
-def reencoded_spool(events, chunk_size: int) -> bytes:
+def reencoded_spool(events, chunk_size: int, version: int = VERSION) -> bytes:
     """A spool written chunk by chunk with ``dumps_binary``."""
     out = bytearray()
     for start in range(0, len(events), chunk_size):
-        payload = dumps_binary(events[start : start + chunk_size])
+        payload = dumps_binary(events[start : start + chunk_size], version)
         out += len(payload).to_bytes(4, "little") + payload
     return bytes(out)
 
@@ -102,5 +103,46 @@ def test_reencoded_spool_replays_through_crash_recovery(tmp_path):
         client.close()
         assert server.worker_restarts == 1
         sdoc = server.session_doc("reencoded")
+    assert canonical(sdoc["report"]) == canonical(off_doc)
+    assert sdoc["counters"] == off_counters
+
+
+def test_v2_spool_is_adopted_after_a_restart(tmp_path):
+    """A drained server's spool of v2 documents (what an older client
+    sent) is adopted by the next server and replayed to the report of
+    the uninterrupted run."""
+    off_doc, off_counters = offline()
+    spool_dir = tmp_path / "spool"
+
+    def config():
+        return ServerConfig(
+            address=f"unix://{tmp_path}/t.sock", n_shards=1,
+            shard_mode="inline", spool_dir=str(spool_dir), drain_timeout=2.0,
+        )
+
+    head = 5 * CHUNK
+    server = TelemetryServer(config()).start()
+    client = ResilientClient(
+        server.address, "legacy", detector="fasttrack", chunk_size=CHUNK,
+        retries=0,
+    )
+    client.connect()
+    client.send_events(EVENTS[:head])
+    client.drain()
+    client.abort()
+    assert server.drain()["drained"] == 1
+    server.stop()
+    (spool,) = spool_dir.glob("*.spool")
+    spool.write_bytes(reencoded_spool(EVENTS[:head], CHUNK, VERSION_2))
+
+    server = TelemetryServer(config()).start()
+    try:
+        assert server.adopted_sessions == 1
+        assert client.reconnect().resume_seq == head // CHUNK
+        client.send_events(EVENTS[head:])
+        assert client.close()["events"] == len(EVENTS)
+        sdoc = server.session_doc("legacy")
+    finally:
+        server.stop()
     assert canonical(sdoc["report"]) == canonical(off_doc)
     assert sdoc["counters"] == off_counters

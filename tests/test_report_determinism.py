@@ -49,7 +49,7 @@ class TestDispatchAxis:
         assert json.loads(scalar)["dynamic_races"] > 0
 
     def test_binary_column_reader_byte_equal(self, recorded, tmp_path):
-        """``--batch`` on a binary trace reads columns (mmap) and indexes
+        """``--batch`` on a binary trace reads columns and indexes
         them for the witnesses: still the scalar run's bytes."""
         binary = tmp_path / "trace.pacr"
         assert main(["convert", str(recorded), str(binary), "--format", "binary"]) == 0

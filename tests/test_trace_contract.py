@@ -10,8 +10,8 @@ broken by one to four drawn mutations:
   stretch breaks several rules;
 * at any split of the columns into blocks;
 * through every loader — ``loads_binary``, the column reader plus the
-  check (the CLI's ``--batch`` path, with and without NumPy) and
-  ``loads_trace`` — with format errors still outranking feasibility;
+  check (the CLI's path, :func:`repro.cli._load`) and ``loads_trace`` —
+  with format errors still outranking feasibility;
 * and through the CLI: every command that reads a trace exits 3 with one
   stderr line on a trace it cannot use.
 """
@@ -23,7 +23,6 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Set
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +31,8 @@ from test_properties import feasible_traces
 
 import repro.net
 from repro.cli import _BadTrace, _load, main
+from repro.core.backend import BACKENDS
+from repro.core.clocks import MAX_TID
 from repro.trace.batch import EventBatch
 from repro.trace.binio import (
     dump_trace_binary,
@@ -51,6 +52,7 @@ from repro.trace.events import (
     acq,
     fork,
     join,
+    rd,
     rel,
     sbegin,
     send,
@@ -89,6 +91,8 @@ def reference_validate(events) -> None:
             continue
         if e.tid < 0:
             raise TraceError(i, e, "thread actions need a valid tid")
+        if e.tid > MAX_TID:
+            raise TraceError(i, e, f"thread id {e.tid} above {MAX_TID}")
         if e.tid in joined:
             raise TraceError(i, e, f"thread {e.tid} acts after being joined")
         acted.add(e.tid)
@@ -110,6 +114,8 @@ def reference_validate(events) -> None:
                 del lock_holder[e.target]
                 del lock_depth[e.target]
         elif e.kind == FORK:
+            if e.target > MAX_TID:
+                raise TraceError(i, e, f"thread id {e.target} above {MAX_TID}")
             if e.target == e.tid:
                 raise TraceError(i, e, "thread forks itself")
             if e.target in forked:
@@ -120,6 +126,8 @@ def reference_validate(events) -> None:
                 )
             forked.add(e.target)
         elif e.kind == JOIN:
+            if e.target > MAX_TID:
+                raise TraceError(i, e, f"thread id {e.target} above {MAX_TID}")
             if e.target == e.tid:
                 raise TraceError(i, e, "thread joins itself")
             if e.target in joined:
@@ -141,7 +149,7 @@ def verdict(check, *args) -> Optional[str]:
 MUTATIONS = (
     "unheld_release", "held_acquire", "double_fork", "fork_acted",
     "self_fork", "self_join", "double_join", "act_after_join",
-    "nested_sbegin", "stray_send", "negative_tid", "marker_tid",
+    "nested_sbegin", "stray_send", "negative_tid", "marker_tid", "big_tid",
 )
 
 
@@ -209,6 +217,10 @@ def mutated_traces(draw):
                 events[p] = events[p]._replace(tid=-1)
                 continue
             new = wr(-1, 0, 3)
+        elif kind == "big_tid":  # above what a packed epoch can carry
+            big = MAX_TID + draw(st.integers(1, 2))
+            new = draw(st.sampled_from(
+                (wr(big, 3, 7), acq(big, 100), fork(tid, big), join(tid, big))))
         else:  # marker_tid: Appendix A ignores a marker's thread id
             new = Event(draw(st.sampled_from((SBEGIN, SEND))), tid + 1, 0, 0)
         events.insert(p, new)
@@ -270,7 +282,7 @@ def test_earliest_violation_wins(events, index, rule):
 def _column_verdict(path: Path) -> Optional[str]:
     """The CLI's binary-trace path: column decode, then the check."""
     try:
-        _load(path, "binary")
+        _load(path)
     except _BadTrace as exc:
         prefix = f"cannot use trace {path}: "
         assert str(exc).startswith(prefix)
@@ -289,8 +301,6 @@ def test_loaders_agree(events):
         path = Path(tmp) / "t.pacr"
         path.write_bytes(data)
         assert _column_verdict(path) == expected
-        with mock.patch.dict(sys.modules, {"numpy": None}):
-            assert _column_verdict(path) == expected
         # damage outranks infeasibility: a corrupt copy names the damage
         path.write_bytes(data[:-1] + bytes([data[-1] ^ 0xFF]))
         assert "CRC32 mismatch" in verdict(loads_binary, path.read_bytes())
@@ -425,7 +435,41 @@ def test_verify_trace_checks_feasibility_only_under_validate(fmt, tmp_path, caps
 def test_checked_batch_holds_list_columns(tmp_path):
     path = tmp_path / "t.pacr"
     dump_trace_binary([fork(0, 1), wr(1, 3, 1)], path)
-    batch = _load(path, "auto")
+    batch = _load(path)
     assert all(type(c) is list for c in
                (batch.kinds, batch.tids, batch.targets, batch.sites))
     assert batch.to_events() == load_trace_columns(path).to_events()
+
+
+#: traces whose thread ids overflow the packed epoch's 20 tid bits: the
+#: packed backend missed the race or named the wrong thread, and PACER
+#: failed with a traceback
+BIG = MAX_TID + 1
+BIG_TID_TRACES = {
+    "acting": [fork(0, BIG), acq(BIG, 5), wr(BIG, 7), rel(BIG, 5), wr(0, 7)],
+    "aliased": [fork(0, BIG + 1), wr(0, 7), wr(BIG + 1, 7), rd(0, 7)],
+    "join": [fork(0, 1), join(0, BIG)],
+    "root": [wr(0, 7), wr(BIG, 7)],  # a thread never forked acts
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_TID_TRACES))
+def test_thread_ids_above_max_tid_are_rejected(name, tmp_path, capsys):
+    events = BIG_TID_TRACES[name]
+    expected = verdict(reference_validate, events)
+    assert expected is not None and f"above {MAX_TID}" in expected
+    assert verdict(loads_binary, dumps_binary(events)) == expected
+    assert verdict(loads_trace, dumps_trace(events)) == expected
+    for path, dump in ((tmp_path / "t.pacr", dump_trace_binary),
+                       (tmp_path / "t.txt", dump_trace)):
+        dump(events, path)
+        assert _column_verdict(path) == expected
+        for detector in ("fasttrack", "pacer"):
+            for backend in BACKENDS:
+                for extra in ([], ["--batch"]):
+                    argv = ["analyze", str(path), "--detector", detector,
+                            "--state-backend", backend, *extra]
+                    assert main(argv) == 3, argv
+                    out, err = capsys.readouterr()
+                    assert out == "" and err == (
+                        f"cannot use trace {path}: {expected}\n"), argv

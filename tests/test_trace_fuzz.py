@@ -18,7 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace.binio import MAGIC, VERSION, VERSION_1, dumps_binary, loads_binary
+from repro.trace.binio import (
+    MAGIC,
+    SUPPORTED_VERSIONS,
+    VERSION,
+    VERSION_1,
+    dumps_binary,
+    loads_binary,
+)
 from repro.trace.events import (
     ACQUIRE,
     ALLOC,
@@ -61,18 +68,21 @@ event_lists = st.lists(
 
 CLEAN_ERRORS = (TraceFormatError, TraceError)
 
+#: every binary version, each written and read
+versions = st.sampled_from(SUPPORTED_VERSIONS)
+
 
 # -- lossless round-trip -------------------------------------------------------
 
 
 @settings(max_examples=150, deadline=None)
-@given(event_lists)
-def test_binary_roundtrip_lossless(events):
-    data = dumps_binary(events)
+@given(event_lists, versions)
+def test_binary_roundtrip_lossless(events, version):
+    data = dumps_binary(events, version)
     decoded = list(loads_binary(data, validate=False))
     assert decoded == events
     # re-encoding the decode reproduces the bytes exactly
-    assert dumps_binary(decoded) == data
+    assert dumps_binary(decoded, version) == data
 
 
 @settings(max_examples=150, deadline=None)
@@ -85,9 +95,9 @@ def test_text_roundtrip_lossless(events):
 
 
 @settings(max_examples=60, deadline=None)
-@given(event_lists)
-def test_binary_text_agree(events):
-    via_binary = list(loads_binary(dumps_binary(events), validate=False))
+@given(event_lists, versions)
+def test_binary_text_agree(events, version):
+    via_binary = list(loads_binary(dumps_binary(events, version), validate=False))
     via_text = list(loads_trace(dumps_trace(events), validate=False))
     assert via_binary == via_text
 
@@ -96,9 +106,9 @@ def test_binary_text_agree(events):
 
 
 @settings(max_examples=150, deadline=None)
-@given(event_lists.filter(lambda evs: len(evs) > 0), st.data())
-def test_binary_truncation_raises_cleanly(events, data):
-    payload = dumps_binary(events)
+@given(event_lists.filter(lambda evs: len(evs) > 0), versions, st.data())
+def test_binary_truncation_raises_cleanly(events, version, data):
+    payload = dumps_binary(events, version)
     cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
     with pytest.raises(TraceFormatError):
         loads_binary(payload[:cut], validate=False)
@@ -108,11 +118,11 @@ def test_binary_truncation_raises_cleanly(events, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(event_lists, st.data())
-def test_binary_bitflip_never_yields_garbage(events, data):
+@given(event_lists, versions, st.data())
+def test_binary_bitflip_never_yields_garbage(events, version, data):
     """A flipped byte either still decodes to *some* valid trace or
     raises a clean, typed error — never IndexError/KeyError/etc."""
-    payload = bytearray(dumps_binary(events))
+    payload = bytearray(dumps_binary(events, version))
     pos = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
     flip = data.draw(st.integers(min_value=1, max_value=255))
     payload[pos] ^= flip
