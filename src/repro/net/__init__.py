@@ -17,10 +17,13 @@ Layers (see ``docs/TELEMETRY.md`` for the wire format and lifecycle):
   produces an unnamed exception or a hang);
 * :mod:`repro.net.shard` — detector worker processes (the supervisor's
   pipe-connected worker pattern) hosting one detector per session, with
-  exact streaming witness indexes for offline-parity reports;
+  exact streaming witness indexes for offline-parity reports, behind
+  one request FIFO per shard whose reply reader completes requests in
+  order;
 * :mod:`repro.net.server` — the front tier: accepts connections,
-  spools each session's frames for crash replay, routes chunks to
-  shards, grants credits, and merges finalized session reports;
+  pipelines each session's chunks to its shard (the credit window is
+  the pipeline depth), spools each applied chunk for crash replay
+  before granting its credit, and merges finalized session reports;
 * :mod:`repro.net.client` — :class:`ResilientClient`, the one client
   (stream any event sequence as one session, with automatic
   reconnect-with-resume, seeded jittered backoff, a bounded retry

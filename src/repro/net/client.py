@@ -395,15 +395,41 @@ class ResilientClient:
 
     def _send(self, msg) -> None:
         self._live()
-        self._sock.sendall(encode_message(msg))
+        try:
+            self._sock.sendall(encode_message(msg))
+        except OSError as exc:
+            # a server that refused a chunk sent its ERROR and closed:
+            # that names the failure, the broken pipe does not
+            refusal = self._refusal()
+            if refusal is None:
+                raise
+            raise refusal from exc
+
+    def _refusal(self) -> Optional[ProtocolError]:
+        """The error an ERROR frame already on the socket names, if any.
+
+        Reads what the server sent before it closed, blocking no longer
+        than the socket timeout; CREDITs on the way still count.
+        """
+        try:
+            while True:
+                data = self._sock.recv(65536)
+                if not data:
+                    return None
+                for frame in self._decoder.feed(data):
+                    refusal = self._absorb(decode_message(frame))
+                    if refusal is not None:
+                        return refusal
+        except (OSError, ProtocolError):
+            return None
 
     def _pump(self) -> None:
         """Block until at least one frame arrives and absorb it.
 
-        CREDIT frames update the window and the unacked buffer in place;
-        anything else lands in the inbox for :meth:`_wait_for`.  Returns
-        after the first recv that completes a frame, so credit-only
-        traffic still makes progress visible to the caller's loop.
+        Each frame goes through :meth:`_absorb`; an ERROR raises the
+        error it names.  Returns after the first recv that completes a
+        frame, so credit-only traffic still makes progress visible to
+        the caller's loop.
         """
         assert self._sock is not None
         progressed = False
@@ -421,16 +447,26 @@ class ResilientClient:
                 )
             for frame in self._decoder.feed(data):
                 progressed = True
-                msg = decode_message(frame)
-                if isinstance(msg, Credit):
-                    self.credits += msg.credits
-                    self.unacked = [c for c in self.unacked if c.seq > msg.ack]
-                elif isinstance(msg, ErrorMessage):
-                    # an answer: a refused HELLO opened no session
-                    self._hello_unanswered = False
-                    raise msg.to_exception()
-                else:
-                    self._inbox.append(msg)
+                refusal = self._absorb(decode_message(frame))
+                if refusal is not None:
+                    raise refusal
+
+    def _absorb(self, msg) -> Optional[ProtocolError]:
+        """File one server frame; returns the error an ERROR frame names.
+
+        CREDIT frames update the window and the unacked buffer in place;
+        anything else lands in the inbox for :meth:`_wait_for`.
+        """
+        if isinstance(msg, Credit):
+            self.credits += msg.credits
+            self.unacked = [c for c in self.unacked if c.seq > msg.ack]
+        elif isinstance(msg, ErrorMessage):
+            # an answer: a refused HELLO opened no session
+            self._hello_unanswered = False
+            return msg.to_exception()
+        else:
+            self._inbox.append(msg)
+        return None
 
     def _wait_for(self, kind):
         while True:

@@ -7,28 +7,40 @@ drives a session through its lifecycle:
 * **hello/ack** — register (or resume) the session, assign it to a
   shard (:func:`repro.net.shard.shard_of`), grant the initial credit
   window;
-* **events** — verify the sequence number, ship the chunk to the
-  session's shard worker, append it to the session's disk spool, then
-  return the credit.  The order matters: a chunk is acknowledged
-  (CREDIT with ``ack=seq``) only once it is both *analyzed* and
-  *spooled*, so every acknowledged chunk survives a worker crash and
-  every unacknowledged chunk is still owned by the client — exactly-once
-  end to end.  The chunk stays the binio bytes the client sent: the
-  front tier checks their envelope and forwards them verbatim to the
-  shard and the spool, and only the shard decodes events;
-* **close / disconnect** — finalize the session on its shard (the
+* **events** — verify the sequence number and submit the chunk to the
+  session's shard worker without waiting for it, so the front reads the
+  next chunk while the shard applies this one: the client's credit
+  window is the pipeline depth, and the front never has more than
+  ``credits`` chunks of a session beyond the last one applied.  The
+  thread that reads the shard's replies retires each chunk in sequence
+  order: append it to the session's disk spool, advance the applied
+  sequence, then return the credit.  The order matters: a chunk is
+  acknowledged (CREDIT with ``ack=seq``) only once it is both
+  *analyzed* and *spooled*, so every acknowledged chunk survives a
+  worker crash and every unacknowledged chunk is still owned by the
+  client — exactly-once end to end.  A chunk the shard refuses becomes
+  the session's error, which the connection thread answers with the
+  named ERROR; the chunks behind it are refused too (the shard applies
+  a session's chunks strictly in sequence), so nothing after it is
+  applied or spooled.  The chunk stays the binio bytes the client
+  sent: the front tier checks their envelope and forwards them verbatim
+  to the shard and the spool, and only the shard decodes events;
+* **close / disconnect** — wait until the session has no chunk in
+  flight, then finalize it on its shard (the
   re-entrant finalize from :mod:`repro.obs.observer`, so a disconnect
   followed by a resume followed by another finalize never
   double-counts) and fold its report into the merge tier.
 
-**Crash recovery.**  A dead shard worker surfaces as
-:class:`~repro.net.shard.ShardCrashed`.  Recovery runs under the shard's
-pipe lock (no other request can interleave): respawn a clean worker —
-any injected crash plan applied to the first process only — re-open
-every session owned by that shard, replay their spools, then let the
-failed request retry its in-flight chunk.  Detector state is rebuilt
-deterministically from the spools, so the post-crash report is
-byte-identical to a crash-free run; the soak suite pins this.
+**Crash recovery.**  The shard pool's reply reader sees a worker die.
+Recovery runs under the shard's pipe lock (no other request can
+interleave): respawn a clean worker — any injected crash plan applied
+to the first process only — re-open every session owned by that shard,
+replay their spools, then re-send the requests that were in flight, in
+order.  Every reply read before the death was retired (spooled) where
+it was read, so the spools plus the re-sent requests are the whole
+history.  Detector state is rebuilt deterministically from the spools,
+so the post-crash report is byte-identical to a crash-free run; the
+soak suite pins this.
 
 **Merge tier.**  :meth:`TelemetryServer.query_doc` re-finalizes every
 session (cheap, absolute-valued) and folds the per-session
@@ -178,7 +190,7 @@ class _Session:
         "name", "detector", "backend", "shard", "applied_seq",
         "spool_path", "attached", "closed", "site_names", "last_doc",
         "chunks", "owner", "lock", "trace_id", "last_frame_at",
-        "spool_bytes",
+        "spool_bytes", "submitted_seq", "in_flight", "error", "settled",
     )
 
     def __init__(
@@ -190,6 +202,13 @@ class _Session:
         self.backend = backend
         self.shard = shard
         self.applied_seq = 0
+        #: highest sequence number submitted to the shard
+        self.submitted_seq = 0
+        #: chunks submitted and not yet retired
+        self.in_flight = 0
+        #: the first failure of a submitted chunk (or of its retirement),
+        #: which the owning connection's thread raises
+        self.error: Optional[Exception] = None
         self.spool_path = spool_path
         #: server-assigned wire-tracing id (stable across resume)
         self.trace_id = trace_id
@@ -201,14 +220,26 @@ class _Session:
         #: the socket currently attached to this session; a resume takes
         #: over from a half-dead connection, and only the owner detaches
         self.owner: Optional[object] = None
-        #: serializes the check-apply-spool-ack sequence so a takeover
-        #: can never interleave with the superseded connection's frames
-        self.lock = threading.Lock()
+        #: serializes the check-submit and retire-spool-ack sequences so
+        #: a takeover can never interleave with the superseded
+        #: connection's frames
+        self.lock = threading.RLock()
+        #: notified whenever a chunk retires
+        self.settled = threading.Condition(self.lock)
         #: monotonic stamp of the last frame on the owning connection
         #: (slow-client sweeper input)
         self.last_frame_at = time.monotonic()
         #: bytes this session has spooled (disk-quota accounting)
         self.spool_bytes = 0
+
+    def resume_at(self, seq: int) -> None:
+        """Set the applied (and so the submitted) sequence number."""
+        self.applied_seq = self.submitted_seq = seq
+
+    def settle(self) -> None:
+        """Wait until no chunk is in flight (``lock`` held)."""
+        while self.in_flight:
+            self.settled.wait()
 
 
 def _read_spool(path: Path) -> List[bytes]:
@@ -261,6 +292,9 @@ class TelemetryServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_threads: List[threading.Thread] = []
         self._conn_socks: List[socket.socket] = []
+        #: one lock per connection socket: CREDITs leave from the shard
+        #: reply readers, every other frame from the connection thread
+        self._send_locks: Dict[socket.socket, threading.Lock] = {}
         self._sessions: Dict[str, _Session] = {}
         self._sessions_lock = threading.Lock()
         self._log_lock = threading.Lock()
@@ -315,6 +349,7 @@ class TelemetryServer:
             mode=cfg.shard_mode,
             chunk_delay=cfg.chunk_delay,
             crash_plan=cfg.crash_plan,
+            replay=self._replay_shard,
         )
         # a previous server's graceful drain left a manifest here: adopt
         # every spooled session *before* the listener opens, so resuming
@@ -460,7 +495,7 @@ class TelemetryServer:
             try:
                 self._finalize_session(sess)
             except ShardCrashed as exc:  # pragma: no cover - defensive
-                self._recover(exc.shard)
+                self._log(f"session {sess.name} not finalized: {exc}")
         self._write_manifest()
         drain_seconds = time.monotonic() - drain_start
         self.metrics.gauge("net_drain_seconds").set_max(
@@ -538,7 +573,7 @@ class TelemetryServer:
                 shard=self._pool.shard_of(entry["name"]), spool_path=spool,
                 trace_id=entry.get("trace_id", 0),
             )
-            sess.applied_seq = entry["applied_seq"]
+            sess.resume_at(entry["applied_seq"])
             sess.chunks = entry.get("chunks", 0)
             sess.closed = entry.get("closed", False)
             sess.site_names = {
@@ -579,6 +614,9 @@ class TelemetryServer:
     def _evict(self, sess: _Session, why: str) -> None:
         """Shed one attached session's connection (session survives)."""
         with sess.lock:
+            # its chunks in flight retire (and are acknowledged) first:
+            # the eviction error is the last frame the socket sees
+            sess.settle()
             sock = sess.owner if sess.attached else None
             if sock is None:
                 return
@@ -625,10 +663,15 @@ class TelemetryServer:
             thread.start()
 
     def _send(self, sock: socket.socket, msg) -> None:
-        try:
-            sock.sendall(encode_message(msg))
-        except OSError:  # pragma: no cover - peer vanished mid-send
-            pass
+        data = encode_message(msg)
+        lock = self._send_locks.get(sock)
+        if lock is None:
+            return  # the connection has ended
+        with lock:
+            try:
+                sock.sendall(data)
+            except OSError:  # pragma: no cover - peer vanished mid-send
+                pass
 
     def _sweep_slow_clients(self) -> None:
         """Evict attached sessions whose connection went quiet too long.
@@ -666,15 +709,21 @@ class TelemetryServer:
         decode_hist = self.metrics.histogram(
             "net_frame_decode_us", buckets=LATENCY_BUCKETS_US
         )
+        self._send_locks[sock] = threading.Lock()
         try:
             sock.settimeout(0.5)
             while not self._stopping.is_set():
                 try:
                     data = sock.recv(_RECV_CHUNK)
                 except socket.timeout:
-                    continue
+                    data = None
                 except OSError:
                     break
+                if sess is not None:
+                    # a chunk of ours the shard refused ends our reads
+                    self._raise_pending(sock, sess)
+                if data is None:
+                    continue
                 if not data:
                     decoder.close()  # raises FrameTruncated on a partial frame
                     break
@@ -702,6 +751,9 @@ class TelemetryServer:
                 f"protocol error on {sess.name if sess else '<no session>'}: "
                 f"[{exc.code}] {exc}"
             )
+            if sess is not None:
+                with sess.lock:
+                    sess.settle()  # no CREDIT may follow the ERROR
             self._send(
                 sock,
                 ErrorMessage(
@@ -713,6 +765,7 @@ class TelemetryServer:
         finally:
             if sess is not None:
                 with sess.lock:
+                    sess.settle()
                     detached = sess.attached and sess.owner is sock
                     if detached:
                         # disconnect without CLOSE: the session stays
@@ -729,7 +782,8 @@ class TelemetryServer:
                         try:
                             self._finalize_session(sess)
                         except ShardCrashed as exc:  # pragma: no cover
-                            self._recover(exc.shard)
+                            self._log(f"session {sess.name} not finalized: {exc}")
+            self._send_locks.pop(sock, None)
             try:
                 sock.close()
             except OSError:  # pragma: no cover
@@ -903,6 +957,9 @@ class TelemetryServer:
         # recovery holds the shard lock while briefly taking the registry)
         if resumed:
             with sess.lock:
+                # the previous connection's chunks in flight retire
+                # first: resume_seq names every chunk the shard applied
+                sess.settle()
                 if sess.attached:
                     # the previous connection died without a clean CLOSE
                     # and its EOF hasn't surfaced yet: the resume takes
@@ -914,6 +971,8 @@ class TelemetryServer:
                 sess.attached = True
                 sess.owner = sock
                 sess.closed = False
+                sess.error = None
+                sess.resume_at(sess.applied_seq)
         if not resumed:
             self._shard_call(
                 sess,
@@ -956,88 +1015,139 @@ class TelemetryServer:
         self, sock, sess: _Session, chunk: EventsChunk, conn_tid: int = 0
     ) -> None:
         with sess.lock:
+            # the window: at most ``credits`` chunks beyond the applied
+            # one are on the shard; past that, wait for the oldest
+            while sess.in_flight >= self.config.credits and sess.error is None:
+                sess.settled.wait()
             if sess.owner is not sock:
                 # a resume took this session over while our frame was in
                 # flight; the new connection retransmits anything unacked
                 raise SessionStateError(
                     f"connection superseded on session {sess.name!r}"
                 )
+            self._raise_pending(sock, sess)
             if sess.closed:
                 raise SessionStateError(
                     f"events after close on session {sess.name!r}"
                 )
-            if chunk.seq <= sess.applied_seq:
-                # duplicate retransmit after a resume: already durably
-                # applied, so just re-acknowledge
+            if chunk.seq <= sess.submitted_seq:
+                # duplicate retransmit: already submitted, so just
+                # re-acknowledge what is durably applied
                 self.metrics.counter("net_duplicate_chunks").inc()
                 self._send(sock, Credit(ack=sess.applied_seq, credits=1))
                 return
-            if chunk.seq != sess.applied_seq + 1:
+            if chunk.seq != sess.submitted_seq + 1:
                 raise SessionStateError(
                     f"sequence gap on session {sess.name!r}: got chunk "
-                    f"{chunk.seq}, expected {sess.applied_seq + 1}"
+                    f"{chunk.seq}, expected {sess.submitted_seq + 1}"
                 )
-            meta = {"seq": chunk.seq, "sent_ns": chunk.sent_ns, "replay": False}
-            dispatch_start = self.recorder.begin()
-            # a chunk whose events do not decode raises PayloadError out
-            # of the shard before anything is applied, spooled or acked
-            _races, lag_us = self._shard_call(
-                sess, lambda: self._pool.apply(sess.name, chunk.data, meta)
-            )
-            # the dispatch span is the front tier's backpressure wait:
-            # its width is how long this chunk queued behind its shard
-            self.recorder.span(
-                "shard-dispatch",
-                dispatch_start,
-                tid=conn_tid,
-                args={"session": sess.name, "seq": chunk.seq,
-                      "shard": sess.shard, "events": chunk.count},
-            )
-            if lag_us >= 0:
-                self.metrics.histogram(
-                    "net_chunk_lag_us", buckets=LATENCY_BUCKETS_US
-                ).observe(lag_us)
-            payload = chunk.data
-            with open(sess.spool_path, "ab") as fh:
-                fh.write(len(payload).to_bytes(4, "little"))
-                fh.write(payload)
-            sess.applied_seq = chunk.seq
-            sess.chunks += 1
-            spooled = 4 + len(payload)
-            sess.spool_bytes += spooled
-            with self._sessions_lock:
-                self._spool_bytes_total += spooled
-                spool_total = self._spool_bytes_total
-            self.metrics.counter("net_chunks_total").inc()
-            self.metrics.counter("net_events_total").inc(chunk.count)
-            self.metrics.gauge("net_spool_bytes").set_max(spool_total)
-            quota = self.config.spool_quota_bytes
-            if quota is not None and sess.spool_bytes > quota:
-                # the chunk itself is durably applied and spooled — ack
-                # it, then shed the connection: the named eviction error
-                # (with retry advice) is the last frame this socket sees
-                self._send(sock, Credit(ack=chunk.seq, credits=1))
-                self.metrics.counter("net_shed_sessions").inc()
-                exc = SessionEvicted(
-                    f"session {sess.name!r} exceeded its spool quota "
-                    f"({sess.spool_bytes} > {quota} byte(s))"
-                )
-                exc.retry_after = self.config.busy_retry_after
-                raise exc
-            watermark = self.config.memory_watermark_bytes
-            if watermark is not None and spool_total >= watermark:
-                # overload defense: grant the credit late, so the whole
-                # client fleet's send rate degrades before memory does
-                self.metrics.counter("net_throttled_credits").inc()
-                time.sleep(self.config.throttle_delay)
+            sess.submitted_seq = chunk.seq
+            sess.in_flight += 1
+        meta = {"seq": chunk.seq, "sent_ns": chunk.sent_ns, "replay": False}
+        dispatch_start = self.recorder.begin()
+        self._queued(sess.shard, 1)
+        self._pool.apply(
+            sess.name, chunk.data, meta,
+            lambda result, error: self._retire(sock, sess, chunk, result, error),
+        )
+        # the dispatch span is the front tier's write into the shard's
+        # pipe; the chunk is retired where the shard's reply is read
+        self.recorder.span(
+            "shard-dispatch",
+            dispatch_start,
+            tid=conn_tid,
+            args={"session": sess.name, "seq": chunk.seq,
+                  "shard": sess.shard, "events": chunk.count},
+        )
+        # inline shards retire before apply returns: a refusal is known
+        self._raise_pending(sock, sess)
+
+    def _retire(self, sock, sess: _Session, chunk: EventsChunk,
+                result, error: Optional[Exception]) -> None:
+        """Complete one submitted chunk where the shard's reply is read.
+
+        Replies come in sequence order.  A chunk the shard applied is
+        spooled and counted in any case, so the spool always equals the
+        detector state; it is acknowledged only while the session has no
+        error.  A refusal, or a failure while retiring, becomes the
+        session's error, and the connection thread is woken to raise it.
+        """
+        self._queued(sess.shard, -1)
+        with sess.lock:
+            try:
+                if error is None:
+                    self._spool_chunk(sock, sess, chunk, result[1])
+            except Exception as exc:  # noqa: BLE001 - raised by the conn thread
+                error = exc  # quota eviction, or a spool write that failed
+            finally:
+                sess.in_flight -= 1
+                sess.settled.notify_all()
+            if error is not None and sess.error is None:
+                sess.error = error
+                try:
+                    # the connection thread may sit in recv: end its reads
+                    sock.shutdown(socket.SHUT_RD)
+                except OSError:  # pragma: no cover - already closed
+                    pass
+
+    def _spool_chunk(self, sock, sess: _Session, chunk: EventsChunk,
+                     lag_us: int) -> None:
+        """Spool, count and acknowledge one applied chunk (lock held)."""
+        if lag_us >= 0:
+            self.metrics.histogram(
+                "net_chunk_lag_us", buckets=LATENCY_BUCKETS_US
+            ).observe(lag_us)
+        payload = chunk.data
+        with open(sess.spool_path, "ab") as fh:
+            fh.write(len(payload).to_bytes(4, "little"))
+            fh.write(payload)
+        sess.applied_seq = chunk.seq
+        sess.chunks += 1
+        spooled = 4 + len(payload)
+        sess.spool_bytes += spooled
+        with self._sessions_lock:
+            self._spool_bytes_total += spooled
+            spool_total = self._spool_bytes_total
+        self.metrics.counter("net_chunks_total").inc()
+        self.metrics.counter("net_events_total").inc(chunk.count)
+        self.metrics.gauge("net_spool_bytes").set_max(spool_total)
+        if sess.error is not None:
+            return  # an earlier chunk failed: its ERROR is the last frame
+        quota = self.config.spool_quota_bytes
+        if quota is not None and sess.spool_bytes > quota:
+            # the chunk itself is durably applied and spooled — ack it,
+            # then shed the connection: the named eviction error (with
+            # retry advice) is the last frame this socket sees
             self._send(sock, Credit(ack=chunk.seq, credits=1))
+            self.metrics.counter("net_shed_sessions").inc()
+            exc = SessionEvicted(
+                f"session {sess.name!r} exceeded its spool quota "
+                f"({sess.spool_bytes} > {quota} byte(s))"
+            )
+            exc.retry_after = self.config.busy_retry_after
+            raise exc
+        watermark = self.config.memory_watermark_bytes
+        if watermark is not None and spool_total >= watermark:
+            # overload defense: grant the credit late, so the whole
+            # client fleet's send rate degrades before memory does
+            self.metrics.counter("net_throttled_credits").inc()
+            time.sleep(self.config.throttle_delay)
+        self._send(sock, Credit(ack=chunk.seq, credits=1))
+
+    @staticmethod
+    def _raise_pending(sock, sess: _Session) -> None:
+        """Raise the error a chunk of this connection hit on its shard."""
+        if sess.error is not None and sess.owner is sock:
+            raise sess.error
 
     def _handle_close(self, sock, sess: _Session, close: Close) -> None:
         with sess.lock:
+            sess.settle()
             if sess.owner is not sock:
                 raise SessionStateError(
                     f"connection superseded on session {sess.name!r}"
                 )
+            self._raise_pending(sock, sess)
             if close.seq != sess.applied_seq:
                 raise SessionStateError(
                     f"close at seq {close.seq} but only {sess.applied_seq} "
@@ -1068,64 +1178,58 @@ class TelemetryServer:
     # -- shard plumbing ------------------------------------------------------
 
     def _shard_call(self, sess: _Session, call):
-        """Run one shard request, recovering (once) from a worker crash.
+        """Run one shard request and wait for it, counted on the queue."""
+        self._queued(sess.shard, 1)
+        try:
+            return call()
+        finally:
+            self._queued(sess.shard, -1)
 
-        Also samples the shard's dispatch queue depth (requests in
-        flight or waiting on the shard's pipe lock) into the per-shard
-        gauge and the depth histogram — the service-level view of how
-        hot each shard runs.
+    def _queued(self, shard: int, delta: int) -> None:
+        """Count a shard request from submission (+1) to completion (-1).
+
+        Feeds the per-shard queue-depth gauge and, on submission, the
+        depth histogram — the service-level view of how many requests
+        (a session's pipelined chunks among them) each shard holds.
         """
-        shard = sess.shard
         with self._queue_lock:
-            self._queue_depth[shard] += 1
+            self._queue_depth[shard] += delta
             depth = self._queue_depth[shard]
             self.metrics.gauge("net_shard_queue_depth", shard=shard).set(depth)
-            self.metrics.histogram("net_shard_queue_depth_hist").observe(depth)
-        try:
-            try:
-                return call()
-            except ShardCrashed as exc:
-                self._recover(exc.shard)
-                return call()
-        finally:
-            with self._queue_lock:
-                self._queue_depth[shard] -= 1
-                self.metrics.gauge(
-                    "net_shard_queue_depth", shard=shard
-                ).set(self._queue_depth[shard])
+            if delta > 0:
+                self.metrics.histogram("net_shard_queue_depth_hist").observe(depth)
 
-    def _recover(self, shard: int) -> None:
-        """Respawn a dead shard worker and replay its sessions' spools."""
-        assert self._pool is not None
+    def _replay_shard(self, shard: int, call) -> None:
+        """Rebuild a respawned worker's sessions from their spools.
+
+        The shard pool calls this under the shard's pipe lock, before it
+        re-sends the requests that were in flight.
+        """
         recover_start = self.recorder.begin()
-        replayed_chunks = [0]
-
-        def replay(call) -> None:
-            with self._sessions_lock:
-                owned = [
-                    s for s in self._sessions.values() if s.shard == shard
-                ]
-            for sess in sorted(owned, key=lambda s: s.name):
-                replayed_chunks[0] += _replay_session(sess, call)
-                self._log(
-                    f"replayed session {sess.name}: {sess.applied_seq} "
-                    f"spooled chunk(s)"
-                )
-
         self.metrics.counter("net_shard_crashes").inc()
         self._log(f"shard {shard} crashed; respawning and replaying spools")
-        if self._pool.recover(shard, replay):
-            self.metrics.counter("net_worker_restarts").inc()
-            self.recorder.span(
-                "crash-recovery",
-                recover_start,
-                tid=0,
-                args={"shard": shard, "replayed_chunks": replayed_chunks[0]},
+        with self._sessions_lock:
+            owned = [s for s in self._sessions.values() if s.shard == shard]
+        replayed_chunks = 0
+        for sess in sorted(owned, key=lambda s: s.name):
+            replayed_chunks += _replay_session(sess, call)
+            self._log(
+                f"replayed session {sess.name}: {sess.applied_seq} "
+                f"spooled chunk(s)"
             )
+        self.metrics.counter("net_worker_restarts").inc()
+        self.recorder.span(
+            "crash-recovery",
+            recover_start,
+            tid=0,
+            args={"shard": shard, "replayed_chunks": replayed_chunks},
+        )
 
     def _finalize_session(self, sess: _Session) -> Dict:
-        doc = self._shard_call(sess, lambda: self._pool.finalize(sess.name))
-        sess.last_doc = doc
+        with sess.lock:
+            sess.settle()
+            doc = self._shard_call(sess, lambda: self._pool.finalize(sess.name))
+            sess.last_doc = doc
         return doc
 
     # -- merge tier ----------------------------------------------------------
@@ -1142,11 +1246,7 @@ class TelemetryServer:
             sessions = sorted(self._sessions.values(), key=lambda s: s.name)
         if refresh:
             for sess in sessions:
-                try:
-                    self._finalize_session(sess)
-                except ShardCrashed as exc:
-                    self._recover(exc.shard)
-                    self._finalize_session(sess)
+                self._finalize_session(sess)
         docs = [sess.last_doc for sess in sessions if sess.last_doc]
         coverage, merged_metrics = self._fold(docs)
         roster = [

@@ -26,13 +26,18 @@ streamed session's ``repro/race-report/v1`` report byte-identical
 (modulo source/session metadata) to offline ``repro analyze`` over the
 concatenated trace.
 
-:class:`ShardPool` is the parent-side handle.  It is thread-safe (the
-server talks to it from one thread per connection; a per-shard lock
-serializes each pipe), runs either in ``process`` mode (real workers)
-or ``inline`` mode (same :class:`SessionHost` code in-process — for
-protocol tests and single-process serving), and turns a dead worker
-into a :class:`ShardCrashed` the server recovers from by respawning and
-replaying the session spools.  Fault injection for the chaos suite:
+:class:`ShardPool` is the parent-side handle: one FIFO per shard.  Every
+op is written to the shard's pipe under a per-shard send lock and its
+completion queued; one reply reader thread per worker reads the replies
+in order and runs each completion where it reads it, so a caller can
+keep several requests in flight (the server pipelines a session's
+chunks) and :meth:`ShardPool.call` is submit-then-wait.  The pool runs
+either in ``process`` mode (real workers) or ``inline`` mode (same
+:class:`SessionHost` code in-process, op and completion run in the
+caller — for protocol tests and single-process serving).  When the
+reader sees a worker die it respawns it, has the server replay the
+session spools, and re-sends the requests that were in flight, in
+order, before any new one.  Fault injection for the chaos suite:
 ``crash_plan`` makes a given shard's *first* worker process die
 (``os._exit``) before applying its Nth chunk — first spawn only, so the
 recovery replay cannot crash-loop — and ``chunk_delay`` slows a shard
@@ -45,8 +50,9 @@ import os
 import threading
 import time
 import zlib
+from collections import deque
 from multiprocessing import get_context
-from typing import Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..analysis.parallel import DETECTOR_FACTORIES
 from ..analysis.supervisor import PipeWorker
@@ -124,7 +130,7 @@ class SessionHost:
         #: wire-propagated trace id (0 = tracing off for this session)
         self.trace_id = trace_id
 
-    def apply(self, data: bytes) -> int:
+    def apply(self, data: bytes, seq: Optional[int] = None) -> int:
         """Analyze one chunk; returns the session's total race count.
 
         ``data`` is the chunk's binio document.  It is decoded to
@@ -132,7 +138,18 @@ class SessionHost:
         raises :class:`~repro.net.protocol.PayloadError` with nothing
         applied.  The columns are indexed, then replayed through the
         detector's recorded replay; no event objects are decoded.
+
+        ``seq`` is a live chunk's sequence number (a replayed chunk has
+        none).  A chunk that is not the session's next one — it was
+        pipelined behind a chunk that was refused — is refused too, with
+        nothing applied, so the detector state always equals the chunks
+        the server spooled.
         """
+        if seq is not None and seq != self.chunks_applied + 1:
+            raise ShardError(
+                f"chunk {seq} of session {self.session!r} is out of order: "
+                f"{self.chunks_applied} chunk(s) applied"
+            )
         kinds, tids, targets, sites = decode_columns(data)
         det = self.detector
         self.sync_builder.add_columns(det._events_seen, kinds, tids, targets)
@@ -263,13 +280,13 @@ class _HostTable:
             time.sleep(self.chunk_delay)
         start = self.recorder.begin()
         seen = host.detector._events_seen
-        races = host.apply(data)
+        replay = bool(meta.get("replay"))
+        seq = meta.get("seq")
+        races = host.apply(data, None if replay else seq)
         sent_ns = meta.get("sent_ns", 0)
         lag_us = -1
         if sent_ns:
             lag_us = max((time.monotonic_ns() - sent_ns) // 1000, 0)
-        replay = bool(meta.get("replay"))
-        seq = meta.get("seq")
         flow_in = None
         if host.trace_id and seq is not None and not replay:
             flow_in = chunk_flow_id(host.trace_id, seq)
@@ -352,17 +369,39 @@ def _shard_main(
 # -- parent side ---------------------------------------------------------------
 
 
-class ShardPool:
-    """Parent-side handle on the detector worker tier.
+def _outcome(reply: tuple):
+    """A worker reply as ``(result, error)``."""
+    if reply[0] == "ok":
+        return reply[1], None
+    if reply[0] == "fail":
+        return None, ShardError(reply[1])
+    return None, error_for_code(reply[1], reply[2])
 
-    ``mode="process"`` spawns one :class:`PipeWorker` per shard;
-    ``mode="inline"`` calls the identical :class:`_HostTable` in-process
-    (no isolation, no crash recovery — but byte-identical analysis,
-    which the parity suite exploits to pin both paths).  All public methods
-    are thread-safe; a dead worker surfaces as :class:`ShardCrashed`
-    and :meth:`recover` brings up a *clean* replacement (any injected
-    crash plan applies to a shard's first process only) and replays the
-    caller's session state before any other request can interleave.
+
+#: a request's completion: ``done(result, error)``, exactly one of them set
+Done = Callable[[object, Optional[Exception]], None]
+
+
+class ShardPool:
+    """Parent-side handle on the detector worker tier: one FIFO per shard.
+
+    ``mode="process"`` spawns one :class:`PipeWorker` per shard and one
+    reply reader thread per worker; ``mode="inline"`` calls the identical
+    :class:`_HostTable` in-process (no isolation, no crash recovery — but
+    byte-identical analysis, which the parity suite exploits to pin both
+    paths).  All public methods are thread-safe.
+
+    :meth:`submit` writes an op under the shard's send lock and returns;
+    its completion runs, in submission order, on the reader thread
+    (inline: in the caller, after the op).  Completions must not raise
+    and must not wait on the pool.  When a worker dies, the reader
+    respawns a *clean* one (an injected crash plan applies to a shard's
+    first process only), runs ``replay(shard, call)`` under the shard's
+    send lock — ``call`` issues one op on the fresh worker and returns
+    its result — and re-sends the requests that were in flight, in
+    order, before any new one.  The oldest of them, the one the dead
+    worker was serving, is re-sent once; if it kills the fresh worker
+    too, its completion gets :class:`ShardCrashed`.
     """
 
     def __init__(
@@ -371,6 +410,7 @@ class ShardPool:
         mode: str = "process",
         chunk_delay: float = 0.0,
         crash_plan: Optional[Dict[int, int]] = None,
+        replay: Optional[Callable[[int, Callable], None]] = None,
     ) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
@@ -379,6 +419,7 @@ class ShardPool:
         self.n_shards = n_shards
         self.mode = mode
         self.chunk_delay = chunk_delay
+        self.replay = replay
         self.worker_restarts = 0
         #: restarts per shard, for health/quarantine gauges
         self.restarts_by_shard: List[int] = [0] * n_shards
@@ -389,14 +430,27 @@ class ShardPool:
                 _HostTable(shard=shard, chunk_delay=chunk_delay)
                 for shard in range(n_shards)
             ]
-            self._workers: List[Optional[PipeWorker]] = []
-        else:
-            self._ctx = get_context("spawn" if os.name == "nt" else "fork")
-            crash_plan = crash_plan or {}
-            self._workers = [
-                self._spawn(shard, crash_plan.get(shard))
-                for shard in range(n_shards)
-            ]
+            self._workers: List[PipeWorker] = []
+            return
+        self._ctx = get_context("spawn" if os.name == "nt" else "fork")
+        crash_plan = crash_plan or {}
+        self._workers = [
+            self._spawn(shard, crash_plan.get(shard)) for shard in range(n_shards)
+        ]
+        #: per shard: ``[msg, done, resent]`` written to the worker whose
+        #: replies are not read yet, oldest first
+        self._pending: List[Deque[list]] = [deque() for _ in range(n_shards)]
+        #: set on every submission: wakes a reader whose respawn failed
+        self._submitted = [threading.Event() for _ in range(n_shards)]
+        self._readers = [
+            threading.Thread(
+                target=self._read_replies, args=(shard,),
+                name=f"shard{shard}-replies", daemon=True,
+            )
+            for shard in range(n_shards)
+        ]
+        for reader in self._readers:
+            reader.start()
 
     def _spawn(self, shard: int, crash_after: Optional[int]) -> PipeWorker:
         return PipeWorker(
@@ -406,58 +460,120 @@ class ShardPool:
     def shard_of(self, session: str) -> int:
         return shard_of(session, self.n_shards)
 
-    # -- request/response ----------------------------------------------------
+    # -- the per-shard FIFO --------------------------------------------------
 
-    def _roundtrip(self, shard: int, msg):
-        """One request/response on the shard pipe (shard lock held)."""
+    def submit(self, shard: int, msg: tuple, done: Done) -> None:
+        """Queue one raw op message (see :class:`_HostTable`) on ``shard``.
+
+        Returns once the message is written; ``done(result, error)``
+        runs when its reply is read, after the completions of every
+        earlier request on the shard.
+        """
+        if self.mode == "inline":
+            with self._locks[shard]:
+                try:
+                    result, error = self._inline[shard].call(msg), None
+                except (ShardError, ProtocolError) as exc:
+                    result, error = None, exc
+            done(result, error)
+            return
+        with self._locks[shard]:
+            if not self._stopped:
+                self._pending[shard].append([msg, done, False])
+                try:
+                    self._workers[shard].conn.send(msg)
+                except OSError:
+                    pass  # a dead worker: the reader respawns it, re-sends
+                self._submitted[shard].set()
+                return
+        done(None, ShardCrashed(shard, "the pool stopped"))
+
+    def call(self, shard: int, msg: tuple):
+        """Submit one raw op message on ``shard`` and wait for its result."""
+        ready = threading.Event()
+        outcome: list = []
+
+        def done(result, error) -> None:
+            outcome.append((result, error))
+            ready.set()
+
+        self.submit(shard, msg, done)
+        ready.wait()
+        result, error = outcome[0]
+        if error is not None:
+            raise error
+        return result
+
+    def _read_replies(self, shard: int) -> None:
+        """Reader thread: complete the shard's requests in reply order."""
+        pending = self._pending[shard]
+        while True:
+            try:
+                reply = self._workers[shard].conn.recv()
+            except (EOFError, OSError):
+                if self._stopped:
+                    while pending:
+                        pending.popleft()[1](
+                            None, ShardCrashed(shard, "the pool stopped")
+                        )
+                    return
+                self._respawn(shard)
+                continue
+            _msg, done, _resent = pending.popleft()
+            done(*_outcome(reply))
+
+    def _respawn(self, shard: int) -> None:
+        """Replace a dead worker; replay, then re-send what was in flight."""
+        pending = self._pending[shard]
+        failed, down = [], False
+        with self._locks[shard]:
+            dead = self._workers[shard]
+            doing = f" during {pending[0][0][0]!r}" if pending else ""
+            detail = f"worker exited with code {dead.exitcode()}{doing}"
+            dead.kill()
+            if pending and pending[0][2]:
+                # the request killed the worker it was re-sent to as well
+                failed.append((pending.popleft()[1], ShardCrashed(shard, detail)))
+            if pending:
+                pending[0][2] = True
+            worker = self._workers[shard] = self._spawn(shard, None)
+            self.worker_restarts += 1
+            self.restarts_by_shard[shard] += 1
+            try:
+                if self.replay is not None:
+                    self.replay(shard, lambda msg: self._roundtrip(shard, msg))
+                for msg, _done, _resent in pending:
+                    worker.conn.send(msg)
+            except Exception as exc:  # noqa: BLE001 - the replay failed
+                # the shard stays down: fail what is in flight and try
+                # again once a new request arrives
+                worker.kill()
+                failed += [(done, ShardCrashed(shard, f"replay failed: {exc}"))
+                           for _msg, done, _resent in pending]
+                pending.clear()
+                self._submitted[shard].clear()
+                down = True
+        for done, error in failed:
+            done(None, error)
+        if down:
+            self._submitted[shard].wait()
+
+    def _roundtrip(self, shard: int, msg: tuple):
+        """One op on the fresh worker during a replay (send lock held)."""
         worker = self._workers[shard]
         try:
             worker.conn.send(msg)
             reply = worker.conn.recv()
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            exitcode = worker.exitcode()
+        except (EOFError, OSError):
             raise ShardCrashed(
                 shard,
-                f"worker exited with code {exitcode} during "
-                f"{msg[0]!r} ({type(exc).__name__})",
+                f"worker exited with code {worker.exitcode()} during "
+                f"replay of {msg[0]!r}",
             ) from None
-        if reply[0] == "fail":
-            raise ShardError(reply[1])
-        if reply[0] == "error":
-            raise error_for_code(reply[1], reply[2])
-        return reply[1]
-
-    def call(self, shard: int, msg):
-        """One raw op message (see :class:`_HostTable`) on ``shard``."""
-        with self._locks[shard]:
-            if self.mode == "inline":
-                return self._inline[shard].call(msg)
-            return self._roundtrip(shard, msg)
-
-    def recover(self, shard: int, replay) -> bool:
-        """Respawn a dead shard worker and rebuild its state atomically.
-
-        Holds the shard's pipe lock for the whole respawn + replay, so
-        no other request can reach the fresh worker before its sessions
-        are rebuilt.  ``replay(call)`` receives a function that issues
-        raw shard messages on the new worker.  Returns False when the
-        worker turned out to be alive — another thread already recovered
-        it — in which case the caller just retries its request.  The
-        replacement worker never carries an injected crash plan, so a
-        replay cannot crash-loop.
-        """
-        if self.mode == "inline":
-            return False
-        with self._locks[shard]:
-            worker = self._workers[shard]
-            if worker.alive():
-                return False
-            worker.kill()
-            self._workers[shard] = self._spawn(shard, None)
-            self.worker_restarts += 1
-            self.restarts_by_shard[shard] += 1
-            replay(lambda msg: self._roundtrip(shard, msg))
-            return True
+        result, error = _outcome(reply)
+        if error is not None:
+            raise error
+        return result
 
     # -- session ops ---------------------------------------------------------
 
@@ -472,17 +588,19 @@ class ShardPool:
             self.shard_of(session), ("open", session, detector, backend, trace_id)
         )
 
-    def apply(self, session: str, data: bytes, meta: Dict):
-        """Analyze one chunk, given as its binio document.
+    def apply(self, session: str, data: bytes, meta: Dict, done: Done) -> None:
+        """Submit one chunk, given as its binio document.
 
-        Returns ``(races, lag_us)``: the session's race count so far and
-        the end-to-end chunk lag in microseconds (``-1`` when the chunk
-        carried no ``sent_ns`` timestamp).  ``meta`` forwards tracing
-        context to the worker: ``{"seq", "sent_ns", "replay"}``.  A
-        document whose events do not decode raises
-        :class:`~repro.net.protocol.PayloadError`; nothing is applied.
+        ``done(result, error)`` gets ``(races, lag_us)``: the session's
+        race count so far and the end-to-end chunk lag in microseconds
+        (``-1`` when the chunk carried no ``sent_ns`` timestamp).
+        ``meta`` forwards tracing context to the worker: ``{"seq",
+        "sent_ns", "replay"}``.  A document whose events do not decode
+        gets :class:`~repro.net.protocol.PayloadError`, and a live chunk
+        that is not the session's next one :class:`ShardError`; nothing
+        of either is applied.
         """
-        return self.call(self.shard_of(session), ("events", session, data, meta))
+        self.submit(self.shard_of(session), ("events", session, data, meta), done)
 
     def add_sites(self, session: str, sites: Dict[int, str]) -> None:
         self.call(self.shard_of(session), ("sites", session, dict(sites)))
@@ -501,10 +619,11 @@ class ShardPool:
         return self.call(shard, ("trace",))
 
     def trace_groups(self) -> List[Dict]:
-        """Span batches from every live shard; dead shards are skipped.
+        """Span batches from every shard; a shard that fails is skipped.
 
-        A crashed-and-not-yet-recovered worker holds no spans worth
-        waiting for; the caller still gets every healthy shard's view.
+        A worker that crashed again during its replay holds no spans
+        worth waiting for; the caller still gets every healthy shard's
+        view.
         """
         groups: List[Dict] = []
         for shard in range(self.n_shards):
@@ -522,5 +641,16 @@ class ShardPool:
             for table in self._inline:
                 table.hosts.clear()
             return
+        for shard in range(self.n_shards):
+            with self._locks[shard]:
+                # the worker answers everything queued before the stop,
+                # then exits, and its reader sees the end of the pipe
+                try:
+                    self._workers[shard].conn.send(("stop",))
+                except OSError:
+                    pass
+            self._submitted[shard].set()
+        for reader in self._readers:
+            reader.join(timeout=5.0)
         for worker in self._workers:
             worker.stop()

@@ -524,9 +524,28 @@ def _checked_records(data: bytes, validate: bool) -> Iterator[Blocks]:
         yield columns
 
 
-def _events(kinds, tids, targets, sites) -> List[Event]:
-    """Decoded columns as :class:`Event` records."""
-    return list(map(Event, map(ID_TO_KIND.__getitem__, kinds), tids, targets, sites))
+class _Interned(dict):
+    """Rows to their one :class:`Event`: equal rows share one object.
+
+    A table lives for one decode call.  Events are immutable, so sharing
+    is safe, and building only the distinct ones spares the allocations
+    and the cyclic collector's rescans of every event built so far.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, row) -> Event:
+        event = tuple.__new__(Event, row)
+        self[event] = event  # the event is its own key: the row is dropped
+        return event
+
+
+def _events(kinds, tids, targets, sites, table=None) -> List[Event]:
+    """Decoded columns as :class:`Event` records, interned in ``table``
+    (a fresh one by default)."""
+    table = _Interned() if table is None else table
+    rows = zip(map(ID_TO_KIND.__getitem__, kinds), tids, targets, sites)
+    return list(map(table.__getitem__, rows))
 
 
 def _whole(data: bytes, crc: bool = True) -> Columns:
@@ -555,8 +574,9 @@ def loads_binary(data: bytes, validate: bool = True) -> Trace:
     order, outranks a feasibility error.
     """
     events: List[Event] = []
+    table = _Interned()
     for columns in _checked_records(data, validate):
-        events += _events(*columns)
+        events += _events(*columns, table=table)
     return Trace(events)
 
 

@@ -1,5 +1,6 @@
 """Binary trace format: round trips, compactness, corruption handling."""
 
+import gc
 import random
 import struct
 import zlib
@@ -63,6 +64,29 @@ class TestRoundTrip:
         assert len(dumps_binary(trace.events)) < 0.6 * len(
             dumps_trace(trace.events).encode()
         )
+
+
+class TestInterning:
+    """The event readers build one :class:`Event` per distinct record."""
+
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_equal_records_are_one_object(self, version):
+        trace = random_trace(seed=5, length=3000, sampling_period_prob=0.05)
+        data = dumps_binary(trace.events, version)
+        for events in (loads_binary(data).events, decode_binary_events(data)):
+            assert events == trace.events
+            assert {type(e) for e in events} == {Event}
+            first = {}
+            assert all(first.setdefault(e, e) is e for e in events)
+            assert len({id(e) for e in events}) == len(first) < len(events)
+        # the table lives for one call: nothing holds it afterwards
+        assert not [o for o in gc.get_objects() if isinstance(o, binio._Interned)]
+
+    def test_calls_do_not_share_events(self):
+        data = dumps_binary([wr(0, 5, 9), wr(0, 5, 9)])
+        one, two = loads_binary(data).events, loads_binary(data).events
+        assert one[0] is one[1] and two[0] is two[1]
+        assert one[0] is not two[0]
 
 
 class TestCorruption:

@@ -161,6 +161,39 @@ def test_stream_refused_session_name_is_one_line(server, trace_file, capsys):
     assert after["report"] == before["report"]
 
 
+def test_stream_names_the_servers_refusal(server, trace_file, capsys,
+                                          monkeypatch):
+    """A chunk the server refuses is one stderr line naming the
+    refusal, even when the next send finds the connection closed."""
+    import zlib
+
+    import repro.net.client as client_module
+    from repro.net.protocol import EventsChunk
+
+    doc = b"PACR" + bytes([2, 1, 200, 1, 1, 0])  # kind id 200
+    doc += zlib.crc32(doc).to_bytes(4, "little")
+    original = client_module.chunk_events
+
+    def refused_first(events, size, first):
+        for chunk in original(events, size, first):
+            if chunk.seq > 1:
+                yield chunk
+                continue
+            yield EventsChunk.from_data(1, doc, 1)
+            while server.metrics.counter("net_disconnects_total").value < 1:
+                time.sleep(0.01)
+            time.sleep(0.1)
+
+    monkeypatch.setattr(client_module, "chunk_events", refused_first)
+    assert stream(server, trace_file, "refused", "--retries", "0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"telemetry server {server.address}: PayloadError: events payload: "
+        f"unknown kind id 200 at byte 8\n"
+    )
+
+
 class _ReaderGone:
     """A stdout whose reader has already gone."""
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 import zlib
 
 import pytest
@@ -686,3 +687,35 @@ def test_server_names_shard_rejected_chunks(shard_mode, tmp_path):
         summary = client.close()
         assert summary["events"] == len(events)
         assert summary["races"] >= 1
+
+
+def test_client_names_the_refusal_behind_a_broken_pipe(monkeypatch):
+    """A chunk the shard refuses ends the connection while the client
+    still has chunks to send: the client raises the server's ERROR, not
+    the broken pipe its next send hits."""
+    import repro.net.client as client_module
+
+    original = client_module.chunk_events
+    doc = broken_events_payload()[2:]  # kind id 13 under a valid CRC
+
+    def refused_first(events, size, first):
+        for chunk in original(events, size, first):
+            if chunk.seq > 1:
+                yield chunk
+                continue
+            yield EventsChunk.from_data(1, doc, 1)
+            # send the rest only once the server has refused and closed
+            while srv.metrics.counter("net_disconnects_total").value < 1:
+                time.sleep(0.01)
+            time.sleep(0.1)
+
+    monkeypatch.setattr(client_module, "chunk_events", refused_first)
+    events = [Event(WRITE, 0, 7, 1), Event(WRITE, 1, 7, 2)] * 50
+    config = ServerConfig(n_shards=1, shard_mode="inline")
+    with TelemetryServer(config) as srv:
+        client = ResilientClient(srv.address, "refused", chunk_size=4, retries=0)
+        client.connect()
+        with pytest.raises(PayloadError) as exc_info:
+            client.send_events(events)
+        assert "kind id 13" in str(exc_info.value)
+        assert isinstance(exc_info.value.__cause__, OSError)
