@@ -152,7 +152,7 @@ def _address(args, dest: str, parse: Optional[Callable] = None) -> str:
     """The value of an address flag; one that ``parse`` rejects (by
     default: not ``tcp://host:port`` or ``unix://path``) is a usage
     error."""
-    from .net.client import parse_address
+    from .net.transport import parse_address
 
     value = getattr(args, dest)
     try:

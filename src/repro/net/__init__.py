@@ -31,6 +31,10 @@ Layers (see ``docs/TELEMETRY.md`` for the wire format and lifecycle):
   reconnects on its own), and :class:`TelemetryMonitor` (a
   :class:`~repro.live.RaceMonitor`-backed shim that forwards a real
   threaded program's events to a server instead of analyzing locally);
+* :mod:`repro.net.transport` — addresses, dialing and listening: the
+  one place sockets are set up, so every TCP socket turns off Nagle's
+  algorithm (``TCP_NODELAY``) and small frames never wait for a delayed
+  ACK;
 * :mod:`repro.net.chaos` — :class:`ChaosProxy`, a deterministic
   fault-injecting proxy (connection drops, frame corruption and
   truncation, stalls, duplication) driven by the shared
@@ -43,12 +47,7 @@ Layers (see ``docs/TELEMETRY.md`` for the wire format and lifecycle):
 """
 
 from .chaos import ChaosProxy, wire_plan
-from .client import (
-    ResilientClient,
-    TelemetryMonitor,
-    parse_address,
-    query_server,
-)
+from .client import ResilientClient, TelemetryMonitor, query_server
 from .protocol import (
     PROTOCOL_SCHEMA,
     FrameCorrupt,
@@ -64,6 +63,7 @@ from .protocol import (
 )
 from .server import ServerConfig, TelemetryServer
 from .top import TOP_SCHEMA, build_top_status, render_top, validate_top_status
+from .transport import parse_address
 
 __all__ = [
     "PROTOCOL_SCHEMA",

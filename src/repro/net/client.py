@@ -68,7 +68,7 @@ import random
 import socket
 import time
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..obs.tracing import PID_CLIENT_BASE, SpanRecorder, chunk_flow_id
 from ..trace.events import ID_TO_KIND, Event
@@ -92,6 +92,7 @@ from .protocol import (
     decode_message,
     encode_message,
 )
+from .transport import dial, parse_address
 
 __all__ = [
     "ForwardingDetector",
@@ -111,27 +112,6 @@ DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_MAX = 2.0
 
 T = TypeVar("T")
-
-
-def parse_address(address: str) -> Tuple[str, object]:
-    """Parse ``tcp://host:port`` or ``unix:///path`` into (kind, target)."""
-    if address.startswith("tcp://"):
-        rest = address[len("tcp://"):]
-        host, sep, port = rest.rpartition(":")
-        if not sep or not host:
-            raise ValueError(f"tcp address needs host:port, got {address!r}")
-        try:
-            return ("tcp", (host, int(port)))
-        except ValueError:
-            raise ValueError(f"bad port in address {address!r}") from None
-    if address.startswith("unix://"):
-        path = address[len("unix://"):]
-        if not path:
-            raise ValueError(f"unix address needs a path, got {address!r}")
-        return ("unix", path)
-    raise ValueError(
-        f"address must start with tcp:// or unix://, got {address!r}"
-    )
 
 
 def _is_retryable(exc: Exception) -> bool:
@@ -206,14 +186,7 @@ class ResilientClient:
 
     def _dial(self) -> None:
         """Open the transport without speaking (used by query-only peers)."""
-        kind, target = parse_address(self.address)
-        if kind == "tcp":
-            sock = socket.create_connection(target, timeout=self.timeout)
-        else:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(target)
-        self._sock = sock
+        self._sock = dial(self.address, self.timeout)
         self._decoder = FrameDecoder()
         self._inbox = []
 
@@ -495,10 +468,18 @@ class ResilientClient:
         self.unacked.append(chunk)
 
     def _await_credits(self) -> None:
-        """Pump until every sent chunk has been CREDIT-acknowledged."""
+        """Pump until every sent chunk has been CREDIT-acknowledged.
+
+        Traced as a ``drain`` span with the chunks that were in flight:
+        at close this is the wait for the window's last CREDITs.
+        """
         self._live()
+        start = self.recorder.begin() if self.recorder is not None else 0
+        in_flight = len(self.unacked)
         while self.unacked:
             self._pump()
+        if self.recorder is not None:
+            self.recorder.span("drain", start, args={"chunks": in_flight})
 
     # -- session operations --------------------------------------------------
 

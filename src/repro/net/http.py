@@ -53,6 +53,10 @@ def parse_http_address(address: str) -> tuple:
 class _Handler(BaseHTTPRequestHandler):
     # the telemetry server is attached to the HTTPServer instance
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY, like every telemetry socket: the body is a second
+    # write behind the headers, which a keep-alive client's delayed ACK
+    # would otherwise hold back 40 ms
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # noqa: N802 - stdlib name
         pass  # scrapes are not server events; keep the log clean

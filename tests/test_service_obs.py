@@ -331,6 +331,30 @@ class TestServiceTrace:
         ]
         assert len(client_pids) == 1
 
+    def test_close_phase_is_traced(self):
+        # a two-credit window stalls the stream and leaves chunks in
+        # flight at close; neither the client's drain nor the front
+        # tier's close span counts as a stall or a reconnect
+        server = serve(credits=2)
+        try:
+            summary = stream(server)
+            doc = query_server(server.address, trace=True)
+            metrics = server.metrics.snapshot()
+        finally:
+            server.stop()
+        events = doc["trace"]["traceEvents"]
+        (drain,) = [e for e in events if e.get("name") == "drain"]
+        assert drain["ph"] == "X" and drain["pid"] >= 100
+        assert 0 <= drain["args"]["chunks"] <= 2
+        (close,) = [e for e in events if e.get("name") == "close"]
+        assert close["ph"] == "X" and close["pid"] == 11
+        assert close["args"] == {"session": "s1", "seq": summary["chunks"]}
+        assert drain["ts"] < close["ts"]
+        stalls = [e for e in events if e.get("name") == "credit-stall"]
+        assert stalls
+        assert metrics["histograms"]["net_credit_stall_us"]["count"] == len(stalls)
+        assert metrics["counters"]["net_retries_total"] == 0
+
     def test_write_trace_artifact(self, tmp_path):
         server = serve()
         try:
