@@ -501,6 +501,7 @@ def test_drain_restart_resume_byte_identical(backend):
         chunk_size=37, retries=0,
     )
     client.connect()
+    assert client._sock.family == socket.AF_UNIX
     half = len(EVENTS) // 2
     client.send_events(EVENTS[:half])
     client.abort()  # dirty disconnect, unacked chunks kept client-side
