@@ -139,10 +139,11 @@ class _BadTrace(Exception):
     """A trace a command cannot use: :func:`main` prints it and exits 3."""
 
 
-def _count(args, dest: str) -> int:
-    """The value of a count flag; below 1 it is a usage error."""
+def _count(args, dest: str) -> Optional[int]:
+    """The value of a count flag; below 1 it is a usage error.  An unset
+    flag without a default reads None."""
     value = getattr(args, dest)
-    if value < 1:
+    if value is not None and value < 1:
         flag = "--" + dest.replace("_", "-")
         raise _UsageError(f"{flag} must be at least 1, got {value}")
     return value
@@ -1096,14 +1097,17 @@ def cmd_stream(args) -> int:
 
     address = _address(args, "address")
     trace = _load(Path(args.trace))
+    options = {
+        "chunk_size": _count(args, "chunk_size"),
+        "retries": args.retries,
+        "backoff_base": args.backoff,
+    }
     client = ResilientClient(
         address,
         args.session,
         detector=args.detector,
         backend=args.state_backend,
-        chunk_size=_count(args, "chunk_size"),
-        retries=args.retries,
-        backoff_base=args.backoff,
+        **{key: value for key, value in options.items() if value is not None},
     )
     try:
         client.connect()
@@ -1622,18 +1626,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "trace", "address")
     p.add_argument("--session", required=True, help="session name")
     _add_flags(p, "detector")
+    # unset client flags stay None so the client applies its own
+    # defaults: importing repro.net here would slow every command's start
     p.add_argument(
-        "--chunk-size", type=int, default=512, help="events per frame"
+        "--chunk-size", type=int,
+        help="events per frame (default: repro.net.client.DEFAULT_CHUNK_SIZE, "
+        "one v3 block)",
     )
     _add_flags(p, "fail_on_race")
     p.add_argument(
-        "--retries", type=int, default=8,
-        help="reconnect-with-resume budget per operation (default 8)",
+        "--retries", type=int,
+        help="reconnect-with-resume budget per operation "
+        "(default: repro.net.client.DEFAULT_RETRIES)",
     )
     p.add_argument(
-        "--backoff", type=float, default=0.05, metavar="SECONDS",
+        "--backoff", type=float, metavar="SECONDS",
         help="base reconnect backoff; doubles per attempt, jittered "
-        "(default 0.05)",
+        "(default: repro.net.client.DEFAULT_BACKOFF_BASE)",
     )
     _add_flags(p, "json", "state_backend")
     p.set_defaults(func=cmd_stream)

@@ -102,7 +102,15 @@ __all__ = [
     "query_server",
 ]
 
-DEFAULT_CHUNK_SIZE = 512
+#: events per EVENTS frame: one v3 column block of 2,048 records.  Every
+#: chunk costs the same fixed work whatever its size (a frame, a CREDIT,
+#: a chunk-send span, a spool record, a shard round trip), which at 512
+#: events left the shard idle about a third of the time.  ``close``
+#: drains the last window of chunks (up to ``DEFAULT_CREDITS``), so
+#: larger chunks make the close longer: at 4,096 events it took half
+#: again as long as at 512, at 2,048 no longer (docs/TELEMETRY.md,
+#: "Backpressure").
+DEFAULT_CHUNK_SIZE = 2048
 
 #: default per-operation reconnect budget
 DEFAULT_RETRIES = 8

@@ -143,10 +143,10 @@ SURFACE = {
         (("--address",), "address", None, None, None, None, True, None),
         (("--session",), "session", None, None, None, None, True, None),
         (("--detector",), "detector", "fasttrack", DETECTORS, None, None, False, None),
-        (("--chunk-size",), "chunk_size", 512, None, "int", None, False, None),
+        (("--chunk-size",), "chunk_size", None, None, "int", None, False, None),
         (("--fail-on-race",), "fail_on_race", False, None, None, 0, False, True),
-        (("--retries",), "retries", 8, None, "int", None, False, None),
-        (("--backoff",), "backoff", 0.05, None, "float", None, False, None),
+        (("--retries",), "retries", None, None, "int", None, False, None),
+        (("--backoff",), "backoff", None, None, "float", None, False, None),
         (("--json",), "json", False, None, None, 0, False, True),
         (("--state-backend",), "state_backend", None, BACKENDS, None, None, False, None),
     ]),

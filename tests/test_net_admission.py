@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import socket
-import tempfile
 import threading
 
 import pytest
@@ -53,10 +52,12 @@ EVENTS = list(TRACE.events)
 TRANSPORTS = ["tcp", "unix"]
 
 
-def make_address(kind: str) -> str:
-    if kind == "tcp":
+@pytest.fixture(params=TRANSPORTS)
+def address(request):
+    """A server address on each transport."""
+    if request.param == "tcp":
         return "tcp://127.0.0.1:0"
-    return f"unix://{tempfile.mkdtemp(prefix='repro-net-')}/t.sock"
+    return f"unix://{request.getfixturevalue('sock_dir')}/t.sock"
 
 
 class Conn:
@@ -121,10 +122,9 @@ def canonical(report_doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_session_limit_answers_busy_with_retry_after(kind):
+def test_session_limit_answers_busy_with_retry_after(address):
     config = ServerConfig(
-        address=make_address(kind), n_shards=1, shard_mode="inline",
+        address=address, n_shards=1, shard_mode="inline",
         max_sessions=1, busy_retry_after=0.5,
     )
     with TelemetryServer(config) as server:
@@ -146,10 +146,9 @@ def test_session_limit_answers_busy_with_retry_after(kind):
         assert server.metrics.counter("net_shed_sessions").value == 1
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_resilient_client_backs_off_on_busy_then_surfaces_it(kind):
+def test_resilient_client_backs_off_on_busy_then_surfaces_it(address):
     config = ServerConfig(
-        address=make_address(kind), n_shards=1, shard_mode="inline",
+        address=address, n_shards=1, shard_mode="inline",
         max_sessions=1, busy_retry_after=0.01,
     )
     with TelemetryServer(config) as server:
@@ -166,12 +165,11 @@ def test_resilient_client_backs_off_on_busy_then_surfaces_it(kind):
         occupant.close()
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_resume_fencing_takeover_storm(kind):
+def test_resume_fencing_takeover_storm(address):
     """Racing resumes: only the latest owner's frames are admitted."""
     off_doc = offline_report()
     config = ServerConfig(
-        address=make_address(kind), n_shards=1, shard_mode="inline",
+        address=address, n_shards=1, shard_mode="inline",
     )
     with TelemetryServer(config) as server:
         client = ResilientClient(

@@ -19,6 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.net import ResilientClient, ServerConfig, TelemetryServer
+from repro.net.client import DEFAULT_CHUNK_SIZE
 from repro.obs.perfetto import validate_chrome_trace
 from repro.trace.binio import dump_trace_binary
 from repro.trace.generator import GeneratorConfig, random_trace
@@ -68,6 +69,22 @@ def test_stream_json(server, trace_file, capsys):
     assert doc["events"] == len(TRACE) == sdoc["events"]
     assert doc["races"] == sdoc["races"]
     assert doc["retries"] == 0
+
+
+def test_stream_defaults_to_the_clients_chunk_size(server, tmp_path, capsys):
+    """Without ``--chunk-size`` a trace longer than one chunk goes out
+    in chunks of the client's default size."""
+    trace = random_trace(GeneratorConfig(length=3 * DEFAULT_CHUNK_SIZE, seed=5))
+    path = tmp_path / "long.pacr"
+    dump_trace_binary(trace, path)
+    assert main([
+        "stream", str(path), "--address", server.address,
+        "--session", "default", "--json",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(trace) > DEFAULT_CHUNK_SIZE
+    assert doc["events"] == len(trace)
+    assert doc["chunks"] == -(-len(trace) // DEFAULT_CHUNK_SIZE)
 
 
 @pytest.mark.parametrize("as_json", [False, True])

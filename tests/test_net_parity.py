@@ -22,6 +22,7 @@ import pytest
 from repro.cli import DETECTORS
 from repro.core.backend import BACKENDS as AVAILABLE_BACKENDS
 from repro.net import ResilientClient, ServerConfig, TelemetryServer
+from repro.net.client import DEFAULT_CHUNK_SIZE
 from repro.obs import RunObserver, SyncIndex
 from repro.obs.provenance import DEFAULT_WINDOW, FlightRecorder
 from repro.obs.reports import build_report, validate_report
@@ -197,15 +198,20 @@ def long_events():
 def test_metrics_match_offline_totals(long_events):
     """The per-session metrics snapshot carries the offline totals —
     gauge ``high`` peaks too, which depend on where probes fall, so the
-    chunk size must not move them."""
+    chunk size must not move them — and the report is byte-identical,
+    at the client's default chunk size among others."""
     for detector_name in DETECTOR_NAMES:
         for backend in BACKENDS:
-            _, _, off_metrics = offline_report(detector_name, backend, long_events)
-            for chunk_size in (37, 512, 5000):
+            off_doc, _, off_metrics = offline_report(
+                detector_name, backend, long_events
+            )
+            for chunk_size in (37, DEFAULT_CHUNK_SIZE, 5000):
                 sdoc, _ = streamed_report(
                     detector_name, backend, long_events,
                     shard_mode="inline", chunk_size=chunk_size,
                 )
+                assert canonical(sdoc["report"]) == canonical(off_doc), (
+                    detector_name, backend, chunk_size)
                 streamed = sdoc["metrics"]
                 for key in ("counters", "gauges"):
                     for name, value in off_metrics[key].items():

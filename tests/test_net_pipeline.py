@@ -23,9 +23,7 @@ where it applies:
 from __future__ import annotations
 
 import json
-import shutil
 import socket
-import tempfile
 import zlib
 from pathlib import Path
 
@@ -280,47 +278,43 @@ def test_close_right_behind_the_last_events_counts_them(shard_mode):
 
 
 @pytest.mark.parametrize("shard_mode", SHARD_MODES)
-def test_disconnect_in_flight_then_drain_restart_resume(shard_mode):
-    workdir = tempfile.mkdtemp(prefix="repro-net-")
-    spool_dir = Path(workdir) / "spool"
+def test_disconnect_in_flight_then_drain_restart_resume(shard_mode, sock_dir):
+    spool_dir = Path(sock_dir) / "spool"
 
     def config():
         return ServerConfig(
-            address=f"unix://{workdir}/t.sock", n_shards=1,
+            address=f"unix://{sock_dir}/t.sock", n_shards=1,
             shard_mode=shard_mode, spool_dir=str(spool_dir),
             chunk_delay=0.02, drain_timeout=5.0,
         )
 
-    try:
-        server = TelemetryServer(config()).start()
-        client = ResilientClient(
-            server.address, "drainy", detector="fasttrack",
-            chunk_size=CHUNK, retries=0,
-        )
-        client.connect()
-        half = 9 * CHUNK
-        client.send_events(EVENTS[:half])
-        assert client.unacked  # chunks in flight...
-        client.abort()  # ...when the connection dies without CLOSE
-        assert server.drain()["drained"] == 1
-        server.stop()
-        manifest = json.loads((spool_dir / "sessions.json").read_text())
-        (entry,) = manifest["sessions"]
-        records = spool_records(spool_dir / entry["spool"])
-        assert entry["applied_seq"] == entry["chunks"] == len(records)
-        assert records == [c.data for c in CHUNKS[:len(records)]]
+    server = TelemetryServer(config()).start()
+    client = ResilientClient(
+        server.address, "drainy", detector="fasttrack",
+        chunk_size=CHUNK, retries=0,
+    )
+    client.connect()
+    half = 9 * CHUNK
+    client.send_events(EVENTS[:half])
+    assert client.unacked  # chunks in flight...
+    client.abort()  # ...when the connection dies without CLOSE
+    assert server.drain()["drained"] == 1
+    server.stop()
+    manifest = json.loads((spool_dir / "sessions.json").read_text())
+    (entry,) = manifest["sessions"]
+    records = spool_records(spool_dir / entry["spool"])
+    assert entry["applied_seq"] == entry["chunks"] == len(records)
+    assert records == [c.data for c in CHUNKS[:len(records)]]
 
-        server = TelemetryServer(config()).start()
-        try:
-            assert server.adopted_sessions == 1
-            assert client.reconnect().resume_seq == entry["applied_seq"]
-            client.send_events(EVENTS[half:])
-            summary = client.close()
-            sdoc = server.session_doc("drainy")
-        finally:
-            server.stop()
+    server = TelemetryServer(config()).start()
+    try:
+        assert server.adopted_sessions == 1
+        assert client.reconnect().resume_seq == entry["applied_seq"]
+        client.send_events(EVENTS[half:])
+        summary = client.close()
+        sdoc = server.session_doc("drainy")
     finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+        server.stop()
     assert summary["events"] == len(EVENTS)
     off_doc, off_counters = offline(EVENTS)
     assert canonical(sdoc["report"]) == canonical(off_doc)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import threading
 import time
 import urllib.error
@@ -95,11 +94,6 @@ def canonical(report_doc: dict) -> str:
     doc = dict(report_doc)
     doc.pop("source")
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def short_unix_address(name: str = "t.sock") -> str:
-    """A unix:// address short enough for sockaddr_un."""
-    return f"unix://{tempfile.mkdtemp(prefix='repro-net-')}/{name}"
 
 
 class Conn:
@@ -482,12 +476,11 @@ def test_slow_client_sweeper_evicts_idle_connection():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_drain_restart_resume_byte_identical(backend):
+def test_drain_restart_resume_byte_identical(backend, sock_dir):
     """The acceptance pin: drain -> restart -> resume ≡ uninterrupted."""
     off_doc, off_counters = offline_report("fasttrack", backend)
-    workdir = tempfile.mkdtemp(prefix="repro-net-")
-    spool = os.path.join(workdir, "spool")
-    address = f"unix://{workdir}/t.sock"
+    spool = os.path.join(sock_dir, "spool")
+    address = f"unix://{sock_dir}/t.sock"
 
     def config():
         return ServerConfig(
